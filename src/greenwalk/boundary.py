@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import ConvergenceError, RangeError, UnsupportedGroupError
 from .groups import GroupElement, GroupModel, parse_element, serialize_element
-from .kernels import KernelTable, is_isotropic_free_srw
+from .kernels import KernelTable
 
 SEQUENCE_AGREEMENTS = 3
 SPINE_TOL_Z = 1e-3
@@ -181,7 +181,7 @@ def extend_kernel(t: KernelTable, g: GroupElement, xi: BoundaryApproximant,
     """
     if xi.group.spec() != t.walk.group.spec():
         raise ValueError("approximant and table live on different groups")
-    if xi.kind == "tree_end" and is_isotropic_free_srw(t.walk):
+    if xi.kind == "tree_end" and t.walk.is_isotropic_free_srw:
         k = t.walk.group.params[0]
         val = free_tree_kernel_oracle(k, g, xi)
         return float(val), 0.0

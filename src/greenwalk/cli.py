@@ -201,7 +201,10 @@ def _run_martin(cfg, seed, workers, tol):
     report = {"command": "martin", "walk": w.name or G.spec(),
               "g": cfg["g"], "radius": t.radius}
     if cfg.get("end"):
-        xi = parse_approximant(G, cfg["end"], tolerance=tol)
+        try:
+            xi = parse_approximant(G, cfg["end"], tolerance=tol)
+        except ValueError as exc:
+            raise ConfigError(str(exc), "end") from None
         val, err = extend_kernel(t, g, xi)
         report.update({"approximant": xi.serialize(),
                        "kernel": val, "error": err})
@@ -314,9 +317,13 @@ def _run_phi(cfg, seed, workers, tol):
             "measure")
     n = _int_in(cfg, "power", 1, 8, 1)
     grid = cfg.get("grid")
-    if grid is not None and (not isinstance(grid, list) or len(grid) < 2):
-        raise ConfigError("grid must be a list of at least two numbers",
-                          "grid")
+    if grid is not None and (
+            not isinstance(grid, list) or len(grid) < 2
+            or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                       for x in grid)
+            or any(b <= a for a, b in zip(grid, grid[1:]))):
+        raise ConfigError("grid must be a strictly increasing list of at "
+                          "least two numbers", "grid")
     curve = cf.phi_curve(t, m, n, grid=grid)
     report = {
         "command": "phi",
@@ -413,8 +420,10 @@ def _run_product(cfg, seed, workers, tol):
 def _run_suite(cfg, seed, workers, tol):
     samples = _int_in(cfg, "samples", 1000, 10_000_000, 1_000_000)
     report, meta = run_all(seed=seed, workers=workers, samples=samples)
+    # without --out the report itself goes to stdout, which must stay JSON
+    stream = sys.stdout if cfg.get("out") else sys.stderr
     for line in summary_lines(report):
-        print(line)
+        print(line, file=stream)
     return report, report["passed"], meta
 
 

@@ -31,7 +31,7 @@ from .boundary import (
 )
 from .errors import PartitionError, UnsupportedGroupError
 from .groups import GroupElement, GroupModel, serialize_element, shared_ball
-from .kernels import KernelTable, is_isotropic_free_srw, n_step_distribution
+from .kernels import KernelTable, n_step_distribution
 from .measures import (
     MeasureModel,
     all_cells,
@@ -119,7 +119,7 @@ class CellFunction:
 
 def kernel_on_cell(t: KernelTable, g: GroupElement, cell: tuple) -> float:
     """K(g, .) on C(cell), exact; requires len(cell) >= |g|."""
-    if not is_isotropic_free_srw(t.walk):
+    if not t.walk.is_isotropic_free_srw:
         raise UnsupportedGroupError(
             "cellwise kernels are available for the isotropic free SRW only"
         )
@@ -187,10 +187,6 @@ def _wreath_bin_in(G: GroupModel, g: GroupElement, bin_key, B) -> bool:
         if have != want:
             return False
     return True
-
-
-def wreath_coarse_cell(sign: str, lamps: dict) -> dict:
-    return {"sign": sign, "lamps": dict(lamps)}
 
 
 # -- conformality ---------------------------------------------------------------

@@ -10,8 +10,11 @@ representation per element, so dict/set membership is exact.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import ConfigError, RepresentationError, ResourceLimitError
 
@@ -20,7 +23,7 @@ BALL_CAP_DEFAULT = 5_000_000
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupElement:
     """One canonical group element.
 
@@ -141,6 +144,10 @@ class GroupModel:
     def mul(self, a: GroupElement, b: GroupElement) -> GroupElement:
         self.check(a)
         self.check(b)
+        return self._mul(a, b)
+
+    def _mul(self, a: GroupElement, b: GroupElement) -> GroupElement:
+        """`mul` without `check`, for elements already in canonical form."""
         if self.kind == "free":
             return GroupElement("free", _free_concat(a.data, b.data))
         if self.kind == "lattice":
@@ -162,8 +169,8 @@ class GroupModel:
             return GroupElement(
                 "wreath", (tuple(sorted(merged.items())), pos_a + pos_b)
             )
-        left = self.factors[0].mul(a.data[0], b.data[0])
-        right = self.factors[1].mul(a.data[1], b.data[1])
+        left = self.factors[0]._mul(a.data[0], b.data[0])
+        right = self.factors[1]._mul(a.data[1], b.data[1])
         return GroupElement("product", (left, right))
 
     def inv(self, a: GroupElement) -> GroupElement:
@@ -261,6 +268,11 @@ def _free_concat(a: tuple, b: tuple) -> tuple:
 
 def serialize_element(G: GroupModel, a: GroupElement) -> str:
     G.check(a)
+    return _serialize(G, a)
+
+
+def _serialize(G: GroupModel, a: GroupElement) -> str:
+    """`serialize_element` without `check`."""
     if G.kind == "free":
         if not a.data:
             return "e"
@@ -277,8 +289,8 @@ def serialize_element(G: GroupModel, a: GroupElement) -> str:
         lamps, pos = a.data
         body = ",".join(f"{site}:{val}" for site, val in lamps)
         return "{" + body + "}@" + str(pos)
-    left = serialize_element(G.factors[0], a.data[0])
-    right = serialize_element(G.factors[1], a.data[1])
+    left = _serialize(G.factors[0], a.data[0])
+    right = _serialize(G.factors[1], a.data[1])
     return "[" + left + ";" + right + "]"
 
 
@@ -391,16 +403,23 @@ class Ball:
 
     elements are sorted lexicographically by their serialized canonical
     form; `length` maps each element to its word length and `index` to its
-    position in `elements`.
+    position in `elements`.  The arrays are indexed by that position:
+    `depth[i]` is the word length of elements[i], and `neighbours`, of
+    shape (len(ball), len(group.generators())) and dtype int32, is the
+    ball's Cayley graph: entry [i, j] is the index of
+    elements[i] * generators[j], or -1 when that product lies outside the
+    ball.
     """
 
-    def __init__(self, group: GroupModel, radius: int,
-                 elements: list, length: dict):
+    def __init__(self, group: GroupModel, radius: int, elements: tuple,
+                 depth: np.ndarray, neighbours: np.ndarray, index: dict):
         self.group = group
         self.radius = radius
-        self.elements = tuple(elements)
-        self.length = length
-        self.index = {a: i for i, a in enumerate(self.elements)}
+        self.elements = elements
+        self.depth = depth
+        self.neighbours = neighbours
+        self.index = index
+        self.length = dict(zip(elements, depth.tolist()))
 
     def __len__(self):
         return len(self.elements)
@@ -409,43 +428,68 @@ class Ball:
         return a in self.index
 
     def sphere_sizes(self) -> list[int]:
-        sizes = [0] * (self.radius + 1)
-        for a, d in self.length.items():
-            sizes[d] += 1
-        return sizes
+        return np.bincount(self.depth, minlength=self.radius + 1).tolist()
 
 
 def ball_enumerate(G: GroupModel, radius: int,
                    cap: int = BALL_CAP_DEFAULT) -> Ball:
     """Breadth-first enumeration of the ball B(e, radius).
 
-    Raises ResourceLimitError when more than `cap` elements would be
-    produced; the generating set is the canonical one from `generators()`.
+    Every element, the outermost sphere's too, is multiplied on the right
+    by each generator of `generators()` exactly once; the products fill
+    `Ball.neighbours`.  The multiplications skip `check`: the identity and
+    the generators are canonical and products of canonical elements are
+    canonical, so elements are checked only where they enter the package
+    (parsers, constructors, the public `mul` and `inv`).  Raises
+    ResourceLimitError when more than `cap` elements would be produced.
     """
     if radius < 0:
         raise ConfigError(f"ball radius must be >= 0, got {radius}", "radius")
     gens = G.generators()
-    e = G.identity()
-    length = {e: 0}
-    frontier = [e]
-    for dist in range(1, radius + 1):
-        nxt = []
-        for a in frontier:
+    mul = G._mul
+    order = [G.identity()]  # elements by BFS id
+    ids = {order[0]: 0}
+    nbr = array("i")  # row-major (BFS id, generator) -> BFS id or -1
+    starts = []  # BFS id of the first element at each distance
+    lo = 0
+    for dist in range(radius + 1):
+        hi = len(order)
+        starts.append(lo)
+        grow = dist < radius
+        for i in range(lo, hi):
+            a = order[i]
             for s in gens:
-                b = G.mul(a, s)
-                if b not in length:
-                    length[b] = dist
-                    nxt.append(b)
-                    if len(length) > cap:
+                b = mul(a, s)
+                j = ids.get(b, -1)
+                if j < 0 and grow:
+                    j = len(order)
+                    if j >= cap:
                         raise ResourceLimitError(
                             f"ball of radius {radius} on {G.spec()} exceeds "
                             f"cap of {cap} elements",
                             cap_name="ball_cap",
                             cap_value=cap,
                         )
-        frontier = nxt
-    ordered = sorted(length, key=lambda a: serialize_element(G, a))
-    return Ball(G, radius, ordered, length)
+                    ids[b] = j
+                    order.append(b)
+                nbr.append(j)
+        lo = hi
+    n = len(order)
+    perm = sorted(range(n), key=lambda i: _serialize(G, order[i]))
+    elements = tuple(map(order.__getitem__, perm))
+    del order
+    bfs_id = np.array(perm, dtype=np.int32)  # position -> BFS id
+    del perm
+    for pos, a in enumerate(elements):
+        ids[a] = pos
+    rank = np.empty(n + 1, dtype=np.int32)  # BFS id -> position
+    rank[bfs_id] = np.arange(n, dtype=np.int32)
+    rank[n] = -1  # so that an outside entry (-1) stays -1
+    table = np.frombuffer(nbr, dtype=np.int32)
+    table[:] = rank[table]
+    return Ball(G, radius, elements,
+                np.searchsorted(starts, bfs_id, side="right") - 1,
+                table.reshape(n, len(gens))[bfs_id], ids)
 
 
 @lru_cache(maxsize=64)

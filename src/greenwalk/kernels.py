@@ -59,18 +59,6 @@ def default_margin(walk: WalkSpec) -> int:
     return MARGIN_DEFAULTS[walk.group.kind]
 
 
-def is_isotropic_free_srw(walk: WalkSpec) -> bool:
-    """True when the walk is the uniform step on the free generators."""
-    if walk.group.kind != "free":
-        return False
-    gens = set(walk.group.generators())
-    support = set(walk.support())
-    if support != gens:
-        return False
-    probs = [p for _, p in walk.steps]
-    return max(probs) - min(probs) < 1e-15
-
-
 def check_transient(walk: WalkSpec) -> None:
     """Reject walks that are recurrent at desk scale.
 
@@ -91,27 +79,57 @@ def check_transient(walk: WalkSpec) -> None:
 
 
 class BallOperator:
-    """Right-convolution by the step distribution on an enumerated ball."""
+    """Right-convolution by the step distribution, killed outside a ball.
 
-    def __init__(self, walk: WalkSpec, radius: int, cap: int = BALL_CAP_DEFAULT):
+    `succ[k][i]` is the state reached from state i by steps[k], or -1 when
+    that step leaves the ball; `start` is the identity's state.
+    """
+
+    def __init__(self, walk: WalkSpec, succ: list, start: int):
         self.walk = walk
-        self.ball: Ball = shared_ball(walk.group, radius, cap)
+        self.succ = succ
+        self.start = start
+        self.size = len(succ[0])
+        self.probs = [p for _, p in walk.steps]
+
+    @classmethod
+    def on_ball(cls, walk: WalkSpec, ball: Ball) -> "BallOperator":
+        """The operator whose state i is ball.elements[i].
+
+        A step that is a generator or the identity reads its successors
+        from `ball.neighbours`; any other step multiplies every element,
+        because composing generator columns would lose the paths that
+        leave the ball and come back within one step.
+        """
         G = walk.group
-        n = len(self.ball)
-        self.size = n
-        self.succ = []
-        self.probs = []
-        index = self.ball.index
-        for s, p in walk.steps:
-            idx = np.empty(n, dtype=np.int64)
-            for i, a in enumerate(self.ball.elements):
-                idx[i] = index.get(G.mul(a, s), -1)
-            self.succ.append(idx)
-            self.probs.append(p)
+        column = {s: j for j, s in enumerate(G.generators())}
+        e = G.identity()
+        succ = []
+        for s in walk.support():
+            if s in column:
+                succ.append(ball.neighbours[:, column[s]])
+            elif s == e:
+                succ.append(np.arange(len(ball)))
+            else:
+                succ.append(np.fromiter(
+                    (ball.index.get(G._mul(a, s), -1) for a in ball.elements),
+                    dtype=np.int64, count=len(ball)))
+        return cls(walk, succ, ball.index[e])
+
+    def restricted(self, keep: np.ndarray) -> "BallOperator":
+        """The same walk killed outside the states where `keep` is True.
+
+        Kept states keep their order, so restricting a ball's operator to
+        a sub-ball gives the operator built on that sub-ball.
+        """
+        renumber = np.full(self.size + 1, -1)  # the extra -1 maps an exit
+        renumber[:-1][keep] = np.arange(int(np.count_nonzero(keep)))
+        succ = [renumber[idx[keep]] for idx in self.succ]
+        return BallOperator(self.walk, succ, int(renumber[self.start]))
 
     def start_vector(self) -> np.ndarray:
         v = np.zeros(self.size)
-        v[self.ball.index[self.walk.group.identity()]] = 1.0
+        v[self.start] = 1.0
         return v
 
     def convolve(self, vec: np.ndarray):
@@ -142,9 +160,6 @@ class BallOperator:
         )
         return mat.tocsr()
 
-    def identity_index(self) -> int:
-        return self.ball.index[self.walk.group.identity()]
-
 
 class RadialChainOperator:
     """Distance chain of the isotropic free SRW, lumped over spheres.
@@ -157,6 +172,7 @@ class RadialChainOperator:
     def __init__(self, k: int, chain_radius: int):
         self.k = k
         self.size = chain_radius + 1
+        self.start = 0
         self.p_in = 1.0 / (2 * k)
         self.p_out = 1.0 - self.p_in
 
@@ -285,17 +301,6 @@ class KernelTable:
         """omega(g) = log G(e,e) - log G(e,g); vanishes at the identity."""
         return math.log(self.green_at_e) - math.log(self.green_at(g))
 
-    def green_map(self, max_radius: int | None = None,
-                  cap: int = BALL_CAP_DEFAULT) -> dict:
-        """Materialised element -> G(e, g) map up to max_radius."""
-        r = self.radius if max_radius is None else min(max_radius, self.radius)
-        if self._values is not None:
-            G = self.walk.group
-            lengths = shared_ball(G, self.radius, cap).length
-            return {g: v for g, v in self._values.items() if lengths[g] <= r}
-        ball = shared_ball(self.walk.group, r, cap)
-        return {g: self.green_at(g) for g in ball.elements}
-
 
 def build_kernel_table(walk: WalkSpec, radius: int | None = None,
                        eps: float = 1e-6, method: str = "linear-solve",
@@ -314,7 +319,7 @@ def build_kernel_table(walk: WalkSpec, radius: int | None = None,
         radius = default_radius(walk)
     if method not in ("series", "linear-solve"):
         raise ValueError(f"unknown method {method!r}")
-    if is_isotropic_free_srw(walk):
+    if walk.is_isotropic_free_srw:
         return _build_radial(walk, radius, eps, method)
     if margin is None:
         margin = default_margin(walk)
@@ -367,21 +372,24 @@ def _build_radial(walk: WalkSpec, radius: int, eps: float,
 
 def _build_solve(walk: WalkSpec, radius: int, eps: float, margin: int,
                  cap: int) -> KernelTable:
-    op = BallOperator(walk, radius + margin, cap)
+    if margin < 1:
+        raise ValueError(f"linear-solve needs margin >= 1, got {margin}")
+    ball = shared_ball(walk.group, radius + margin, cap)
+    op = BallOperator.on_ball(walk, ball)
     v_full = _absorbing_green_row(op)
-    op_half = BallOperator(walk, radius + max(1, margin // 2), cap)
-    v_half = _absorbing_green_row(op_half)
+    # the error estimate compares with the walk killed outside a smaller
+    # ball, whose states are this ball's states of length <= its radius
+    keep = ball.depth <= radius + max(1, margin // 2)
+    v_half = _absorbing_green_row(op.restricted(keep))
+    half_pos = np.cumsum(keep) - 1
     rho_hist = _rho_history(op, n_max=min(200, 2 * (radius + margin)))
     rho_hat, certified = _rho_from_history(rho_hist)
     values, errors = {}, {}
-    lengths = op.ball.length
-    half_index = op_half.ball.index
-    for i, g in enumerate(op.ball.elements):
-        if lengths[g] <= radius:
-            values[g] = float(v_full[i])
-            j = half_index.get(g)
-            diff = abs(v_full[i] - (v_half[j] if j is not None else 0.0))
-            errors[g] = float(max(diff, 1e-15))
+    for i in np.flatnonzero(ball.depth <= radius):
+        g = ball.elements[i]
+        values[g] = float(v_full[i])
+        diff = abs(v_full[i] - v_half[half_pos[i]])
+        errors[g] = float(max(diff, 1e-15))
     meta = {
         "work_radius": radius + margin,
         "ball_size": op.size,
@@ -397,18 +405,15 @@ def _build_solve(walk: WalkSpec, radius: int, eps: float, margin: int,
 
 def _build_series(walk: WalkSpec, radius: int, eps: float, margin: int,
                   cap: int, n_cap: int) -> KernelTable:
-    op = BallOperator(walk, radius + margin, cap)
-    lengths = op.ball.length
-    exposed = np.array(
-        [i for i, g in enumerate(op.ball.elements) if lengths[g] <= radius],
-        dtype=np.int64,
-    )
+    ball = shared_ball(walk.group, radius + margin, cap)
+    op = BallOperator.on_ball(walk, ball)
+    exposed = np.flatnonzero(ball.depth <= radius)
     sums, tails, n_used, dropped, rho_hat, certified = _series_accumulate(
         op, exposed, eps, n_cap
     )
     values, errors = {}, {}
     for i in exposed:
-        g = op.ball.elements[i]
+        g = ball.elements[i]
         values[g] = float(sums[i])
         errors[g] = float(max(tails[i], 1e-15))
     meta = {
@@ -429,7 +434,7 @@ def _absorbing_green_row(op) -> np.ndarray:
     n = op.size
     A = (scipy.sparse.identity(n, format="csr") - P).T.tocsc()
     rhs = np.zeros(n)
-    rhs[op.identity_index()] = 1.0
+    rhs[op.start] = 1.0
     if n <= SPSOLVE_MAX:
         return scipy.sparse.linalg.spsolve(A, rhs)
     sol, info = scipy.sparse.linalg.bicgstab(A, rhs, rtol=1e-13, atol=0.0,
@@ -451,7 +456,7 @@ def _series_accumulate(op, exposed_idx, eps: float, n_cap: int):
     radius from below.
     """
     vec = op.start_vector()
-    start = _start_index(op)
+    start = op.start
     sums = vec.copy()
     dropped = 0.0
     window: list[np.ndarray] = []
@@ -491,16 +496,10 @@ def _series_accumulate(op, exposed_idx, eps: float, n_cap: int):
     )
 
 
-def _start_index(op) -> int:
-    if isinstance(op, RadialChainOperator):
-        return 0
-    return op.identity_index()
-
-
 def _rho_history(op, n_max: int):
     """Even-step return probabilities (mu^n(e))^{1/n} up to n_max."""
     vec = op.start_vector()
-    start = _start_index(op)
+    start = op.start
     hist = []
     for n in range(1, n_max + 1):
         vec, _ = op.convolve(vec)
@@ -546,7 +545,7 @@ def spectral_radius_estimate(walk: WalkSpec, n_max: int = 200,
     """
     if n_max < 4:
         raise ValueError("n_max must be at least 4")
-    if is_isotropic_free_srw(walk):
+    if walk.is_isotropic_free_srw:
         op = RadialChainOperator(walk.group.params[0], n_max // 2 + 4)
     else:
         if radius is None:
@@ -555,12 +554,13 @@ def spectral_radius_estimate(walk: WalkSpec, n_max: int = 200,
         op = None
         while radius > 4:
             try:
-                op = BallOperator(walk, radius, probe_cap)
+                op = BallOperator.on_ball(
+                    walk, shared_ball(walk.group, radius, probe_cap))
                 break
             except ResourceLimitError:
                 radius = max(4, radius * 2 // 3)
         if op is None:
-            op = BallOperator(walk, radius, cap)
+            op = BallOperator.on_ball(walk, shared_ball(walk.group, radius, cap))
     hist = _rho_history(op, n_max)
     rho, certified = _rho_from_history(hist)
     return SpectralRadiusEstimate(rho, n_max, certified, tuple(hist))
@@ -594,29 +594,17 @@ def n_step_distribution(walk: WalkSpec, n: int, radius: int,
                         dropped += mass * p
             dist = nxt
         return dist, dropped
-    op = BallOperator(walk, radius, cap)
+    ball = shared_ball(G, radius, cap)
+    op = BallOperator.on_ball(walk, ball)
     vec = op.start_vector()
     dropped = 0.0
     for _ in range(n):
         vec, d = op.convolve(vec)
         dropped += d
     out = {
-        g: float(vec[i]) for i, g in enumerate(op.ball.elements) if vec[i] != 0.0
+        g: float(vec[i]) for i, g in enumerate(ball.elements) if vec[i] != 0.0
     }
     return out, dropped
-
-
-def first_visit_F(table: KernelTable, x: GroupElement, y: GroupElement) -> float:
-    return table.first_visit(x, y)
-
-
-def green_metric(table: KernelTable, g: GroupElement) -> float:
-    return table.green_metric(g)
-
-
-def martin_kernel_finite(table: KernelTable, g: GroupElement,
-                         h: GroupElement) -> float:
-    return table.martin(g, h)
 
 
 def harnack_scan(table: KernelTable, radius: int,
@@ -636,14 +624,16 @@ def harnack_scan(table: KernelTable, radius: int,
     pair_ball = shared_ball(G, 2 * radius, cap)
     elements = ball.elements
     inverses = [G.inv(x) for x in elements]
+    dist = [[pair_ball.length[G._mul(inv, y)] for y in elements]
+            for inv in inverses]
     best = 1.0
-    for zi, z in enumerate(elements):
-        vals = [table.green_at(G.mul(inv, z)) for inv in inverses]
+    for z in elements:
+        vals = [table.green_at(G._mul(inv, z)) for inv in inverses]
         for i in range(len(elements)):
             for j in range(len(elements)):
                 if i == j:
                     continue
-                d = pair_ball.length[G.mul(inverses[i], elements[j])]
+                d = dist[i][j]
                 if d == 0:
                     continue
                 ratio = vals[i] / vals[j]

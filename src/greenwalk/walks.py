@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import ConfigError, RepresentationError
 from .groups import (
@@ -63,6 +64,16 @@ class WalkSpec:
                     hint = lengths[s]
             out = max(out, hint)
         return out
+
+    @cached_property
+    def is_isotropic_free_srw(self) -> bool:
+        """True when the walk is the uniform step on the free generators."""
+        if self.group.kind != "free":
+            return False
+        if set(self.support()) != set(self.group.generators()):
+            return False
+        probs = [p for _, p in self.steps]
+        return max(probs) - min(probs) < 1e-15
 
     def mean_drift(self):
         """Mean step vector for lattice walks, None otherwise."""
@@ -320,7 +331,13 @@ def walk_from_json(obj) -> WalkSpec:
             raise ConfigError(
                 f"duplicate step element {entry['elem']!r}", "steps"
             )
-        steps[el] = float(entry["p"])
+        try:
+            steps[el] = float(entry["p"])
+        except (TypeError, ValueError):
+            raise ConfigError(
+                f"step probability must be a number, got {entry['p']!r}",
+                "steps",
+            ) from None
     return make_walk(G, steps, name=obj.get("name", ""))
 
 

@@ -198,3 +198,29 @@ def test_suite_small(tmp_path, capsys):
     assert len(report["checks"]) == 13
     meta = json.loads((tmp_path / "suite.json.meta.json").read_text())
     assert "timings_s" in meta and "total_s" in meta
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("martin", {"g": "a", "end": "bogus"}),
+    ("phi", {"grid": ["x", 1]}),
+    ("green", {"walk": {"group": "free:2", "steps": [
+        {"elem": "a", "p": "half"}, {"elem": "A", "p": 0.25},
+        {"elem": "b", "p": 0.25}]}}),
+], ids=["martin-end", "phi-grid", "walk-p"])
+def test_malformed_input_exits_usage(capsys, tmp_path, command, payload):
+    cfg = write_config(tmp_path, "c.json", payload)
+    assert main([command, "--config", cfg]) == 64
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+
+
+def test_suite_stdout_is_json(capsys, monkeypatch):
+    report = {"passed": True, "checks": [
+        {"number": 1, "name": "stub", "passed": True}]}
+    monkeypatch.setattr("greenwalk.cli.run_all",
+                        lambda seed, workers, samples: (report, {}))
+    code = main(["suite"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert json.loads(captured.out) == report
+    assert "PASS" in captured.err

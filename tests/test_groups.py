@@ -127,6 +127,29 @@ def test_ball_cap():
         ball_enumerate(F2, 12, cap=1000)
 
 
+@pytest.mark.parametrize("G", [F2, W, P], ids=["free", "wreath", "product"])
+def test_ball_cap_trips_past_exact_size(G):
+    size = len(ball_enumerate(G, 3))
+    assert len(ball_enumerate(G, 3, cap=size)) == size
+    with pytest.raises(ResourceLimitError):
+        ball_enumerate(G, 3, cap=size - 1)
+
+
+@pytest.mark.parametrize("spec", ["free:2", "lattice:2", "wreath:2",
+                                  "wreath:3", "product(wreath:2,free:2)"])
+def test_ball_neighbours_match_mul(spec):
+    G = parse_group(spec)
+    ball = ball_enumerate(G, 3)
+    gens = G.generators()
+    assert ball.neighbours.shape == (len(ball), len(gens))
+    for i, a in enumerate(ball.elements):
+        expected = [ball.index.get(G.mul(a, s), -1) for s in gens]
+        assert ball.neighbours[i].tolist() == expected
+    assert ball.elements == tuple(
+        sorted(ball.elements, key=lambda a: serialize_element(G, a)))
+    assert all(ball.index[a] == i for i, a in enumerate(ball.elements))
+
+
 def test_parse_group_round_trip():
     for spec in ["free:2", "free:3", "lattice:1", "wreath:2",
                  "product(wreath:2,free:2)"]:

@@ -1,11 +1,18 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from greenwalk.errors import RangeError, TransienceError
-from greenwalk.groups import GroupElement, GroupModel, parse_element
+from greenwalk.groups import (
+    GroupElement,
+    GroupModel,
+    ball_enumerate,
+    parse_element,
+)
 from greenwalk.kernels import (
+    BallOperator,
     build_kernel_table,
     harnack_scan,
     kernel_bounds_check,
@@ -13,7 +20,13 @@ from greenwalk.kernels import (
     spectral_radius_estimate,
     tail_condition_check,
 )
-from greenwalk.walks import drift_z, srw_free, wreath_walk
+from greenwalk.walks import (
+    drift_z,
+    make_walk,
+    product_walk,
+    srw_free,
+    wreath_walk,
+)
 
 F2 = GroupModel.free(2)
 
@@ -184,3 +197,84 @@ def test_n_step_truncation_drops_mass():
     dist, dropped = n_step_distribution(srw_free(2), 6, radius=2)
     assert dropped > 0
     assert sum(dist.values()) + dropped == pytest.approx(1.0, abs=1e-12)
+
+
+# -- ball operators -------------------------------------------------------------
+
+
+def _lazy_f2():
+    e = F2.identity()
+    return make_walk(F2, {e: 0.2, **{s: 0.2 for s in F2.generators()}})
+
+
+def _lattice2_drift():
+    Z2 = GroupModel.lattice(2)
+    gens = Z2.generators()
+    return make_walk(Z2, dict(zip(gens, (0.4, 0.1, 0.3, 0.2))))
+
+
+def _ab_walk():
+    """F_2 walk with a step of word length two."""
+    return make_walk(F2, {parse_element(F2, x): 0.2
+                          for x in ("a", "A", "b", "B", "ab")})
+
+
+def _mul_successors(walk, ball):
+    G = walk.group
+    return [[ball.index.get(G.mul(a, s), -1) for a in ball.elements]
+            for s in walk.support()]
+
+
+@pytest.mark.parametrize("walk", [
+    srw_free(2),
+    _lattice2_drift(),
+    wreath_walk(2, 0.75, 0.4),
+    wreath_walk(3, 0.6, 0.3),
+    product_walk(wreath_walk(2, 0.75, 0.4), _lazy_f2(), 0.5),
+    _ab_walk(),
+], ids=["free:2", "lattice:2", "wreath:2", "wreath:3", "product-hold", "ab"])
+def test_ball_operator_successors_match_mul(walk):
+    ball = ball_enumerate(walk.group, 3)
+    op = BallOperator.on_ball(walk, ball)
+    assert [list(idx) for idx in op.succ] == _mul_successors(walk, ball)
+    assert op.start == ball.index[walk.group.identity()]
+
+
+def test_product_hold_step_stays_put():
+    walk = product_walk(wreath_walk(2, 0.75, 0.4), _lazy_f2(), 0.5)
+    hold = walk.support().index(walk.group.identity())
+    op = BallOperator.on_ball(walk, ball_enumerate(walk.group, 2))
+    assert list(op.succ[hold]) == list(range(op.size))
+
+
+@pytest.mark.parametrize("walk", [
+    wreath_walk(2, 0.75, 0.4),
+    product_walk(wreath_walk(2, 0.75, 0.4), _lazy_f2(), 0.5),
+    _ab_walk(),
+], ids=["wreath", "product-hold", "ab"])
+def test_restricted_operator_equals_smaller_ball(walk):
+    big = ball_enumerate(walk.group, 4)
+    keep = np.array([big.length[g] <= 2 for g in big.elements])
+    sub = BallOperator.on_ball(walk, big).restricted(keep)
+    fresh = BallOperator.on_ball(walk, ball_enumerate(walk.group, 2))
+    assert (sub.size, sub.start) == (fresh.size, fresh.start)
+    assert [list(a) for a in sub.succ] == [list(b) for b in fresh.succ]
+    assert sub.probs == fresh.probs
+
+
+def test_non_generator_step_table_unchanged():
+    # values recorded with every operator entry computed by `mul`
+    walk = _ab_walk()
+    t = build_kernel_table(walk, radius=3, margin=4)
+    assert t.meta["ball_size"] == 4373
+    e, ab = F2.identity(), parse_element(F2, "ab")
+    assert t.green_at(e) == 1.2931375442094262
+    assert t.entry_error(e) == 0.0004950744945497743
+    assert t.green_at(ab) == 0.4028949988431838
+    assert t.entry_error(ab) == 0.0015626234957147878
+    assert t.meta["max_entry_error"] == 0.0030025603804817863
+
+
+def test_solve_needs_margin():
+    with pytest.raises(ValueError, match="margin"):
+        build_kernel_table(wreath_walk(2, 0.75, 0.4), radius=2, margin=0)
