@@ -103,6 +103,8 @@ class BoundaryApproximant:
 
 def parse_approximant(group: GroupModel, text: str,
                       tolerance: float = 1e-6) -> BoundaryApproximant:
+    if not isinstance(text, str):
+        raise ValueError(f"approximant must be a string, got {text!r}")
     if text.startswith("end:"):
         word = parse_element(group, text[4:])
         return BoundaryApproximant.tree_end(group, word, tolerance)

@@ -150,6 +150,9 @@ def _common(cfg):
     seed = _int_in(cfg, "seed", 0, 2**63 - 1, 7)
     workers = _int_in(cfg, "workers", 1, 64, 1)
     tol = _float_in(cfg, "tolerance", 1e-12, 1.0, 1e-6)
+    out = cfg.get("out")
+    if out is not None and not isinstance(out, str):
+        raise ConfigError(f"out must be a file path, got {out!r}", "out")
     return seed, workers, tol
 
 

@@ -17,6 +17,8 @@ kernels and run the usual conformality battery on the pushforward.
 
 from __future__ import annotations
 
+import copy
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,9 +36,11 @@ from .groups import GroupElement, GroupModel, serialize_element, shared_ball
 from .kernels import KernelTable, n_step_distribution
 from .measures import (
     MeasureModel,
+    _letters,
     all_cells,
-    cell_contains,
     cell_name,
+    leaf_ranges,
+    leaf_vector,
     translate_cell,
 )
 from .walks import product_walk  # noqa: F401  (public here as well)
@@ -68,15 +72,15 @@ class CellFunction:
     def depth(self) -> int:
         return max((len(w) for w in self.coeffs), default=0)
 
-    def value_on(self, cell: tuple) -> float:
-        """Value on C(cell); requires len(cell) >= self.depth."""
-        if len(cell) < self.depth:
+    def values(self, depth: int) -> list:
+        """Values on the depth-`depth` leaves; requires depth >= self.depth."""
+        if depth < self.depth:
             raise PartitionError(
-                f"cell of depth {len(cell)} cannot resolve a function of "
+                f"cell of depth {depth} cannot resolve a function of "
                 f"depth {self.depth}",
                 suggested_depth=self.depth,
             )
-        return sum(c for w, c in self.coeffs.items() if cell_contains(w, cell))
+        return leaf_vector(self.G, depth, self.coeffs.items())
 
     def compose_shift(self, g: GroupElement) -> "CellFunction":
         """xi -> f(g^{-1} xi), i.e. the factor picked up when pulling an
@@ -89,12 +93,8 @@ class CellFunction:
 
     def __mul__(self, other: "CellFunction") -> "CellFunction":
         d = max(self.depth, other.depth)
-        out = {}
-        for cell in all_cells(self.G, d):
-            v = self.value_on(cell) * other.value_on(cell)
-            if v != 0.0:
-                out[cell] = v
-        return CellFunction(self.G, out)
+        products = zip(all_cells(self.G, d), self.values(d), other.values(d))
+        return CellFunction(self.G, {cell: a * b for cell, a, b in products})
 
     def integrate(self, m: MeasureModel):
         """(integral, standard error) against a cylinder measure."""
@@ -102,35 +102,52 @@ class CellFunction:
             val = sum(c for w, c in self.coeffs.items()
                       if m.cell_mass(w) == 1.0)
             return val, 0.0
-        d = max(self.depth, 0)
-        if d > m.depth:
+        if self.depth > m.depth:
             raise PartitionError(
-                f"measure depth {m.depth} below function depth {d}",
-                suggested_depth=d,
+                f"measure depth {m.depth} below function depth {self.depth}",
+                suggested_depth=self.depth,
             )
-        total, var = 0.0, 0.0
-        for cell in all_cells(self.G, m.depth):
-            v = self.value_on(cell)
-            if v != 0.0:
-                total += v * m.masses[cell]
-                var += (v * m.se.get(cell, 0.0)) ** 2
-        return total, math.sqrt(var)
+        return _linear_form(self.values(m.depth), m.leaf_mass, m.leaf_se, 0)
 
 
-def kernel_on_cell(t: KernelTable, g: GroupElement, cell: tuple) -> float:
-    """K(g, .) on C(cell), exact; requires len(cell) >= |g|."""
+def kernel_leaves(t: KernelTable, g: GroupElement, depth: int,
+                  beta: float = 1.0) -> list:
+    """K(g, .)^beta on each depth-`depth` leaf, exact; needs depth >= |g|.
+
+    The confluence formula of free_tree_kernel_oracle, per leaf:
+    K(g, xi) = F^(|g| - 2 cut) with F = 1/(2k - 1) and cut the common
+    prefix length of g and xi.  The leaves with cut >= c form the range of
+    g's length-c prefix, and each of the |g| + 1 values is converted to a
+    float once.
+    """
     if not t.walk.is_isotropic_free_srw:
         raise UnsupportedGroupError(
             "cellwise kernels are available for the isotropic free SRW only"
         )
-    if len(cell) < len(g.data):
+    word = g.data
+    if depth < len(word):
         raise PartitionError(
-            f"cell depth {len(cell)} below |g| = {len(g.data)}; kernel not "
+            f"cell depth {depth} below |g| = {len(word)}; kernel not "
             "constant there",
-            suggested_depth=len(g.data),
+            suggested_depth=len(word),
         )
-    end = BoundaryApproximant.tree_end(t.walk.group, cell)
-    return float(free_tree_kernel_oracle(t.walk.group.params[0], g, end))
+    G = t.walk.group
+    ranges = leaf_ranges(G, depth)
+    cut = [0] * ranges[()][1]
+    for c in range(1, len(word) + 1):
+        lo, hi = ranges[word[:c]]
+        cut[lo:hi] = [c] * (hi - lo)
+    F = Fraction(1, 2 * G.params[0] - 1)
+    value = [float(F ** (len(word) - 2 * c)) ** beta
+             for c in range(len(word) + 1)]
+    return [value[c] for c in cut]
+
+
+def kernel_on_cell(t: KernelTable, g: GroupElement, cell: tuple) -> float:
+    """K(g, .) on C(cell), exact; requires len(cell) >= |g|."""
+    cell = tuple(cell)
+    values = kernel_leaves(t, g, len(cell))
+    return values[leaf_ranges(t.walk.group, len(cell))[cell][0]]
 
 
 # -- pullback masses -----------------------------------------------------------
@@ -241,59 +258,67 @@ def _power_err(k: float, kerr: float, beta: float) -> float:
 def _cylinder_contrast(t: KernelTable, m: MeasureModel, beta: float,
                        g: GroupElement, B: tuple):
     G = m.group
-    if len(g.data) > m.depth or len(B) > m.depth:
-        raise PartitionError(
-            f"need measure depth >= max(|g|, |B|) = "
-            f"{max(len(g.data), len(B))}, have {m.depth}",
-            suggested_depth=max(len(g.data), len(B)),
-        )
     pieces = translate_cell(G, G.inv(g), B)
-    for piece in pieces:
-        if len(piece) > m.depth:
-            raise PartitionError(
-                f"g^{{-1}}B needs cells of depth {len(piece)}, measure has "
-                f"{m.depth}",
-                suggested_depth=len(piece),
-            )
-    contrast = 0.0
-    coeffs = []
-    for cell in all_cells(G, m.depth):
-        c = 0.0
-        for piece in pieces:
-            if cell_contains(piece, cell):
-                c += 1.0
-        if cell_contains(B, cell):
-            c -= kernel_on_cell(t, g, cell) ** beta
-        if c != 0.0:
-            contrast += c * m.cell_mass(cell)
-            coeffs.append((c, cell))
-    return abs(contrast), _contrast_se(m, coeffs, contrast)
+    need = max([len(g.data), len(B)] + [len(piece) for piece in pieces])
+    if need > m.depth:
+        raise PartitionError(
+            f"g, B and g^{{-1}}B need measure depth {need}, have {m.depth}",
+            suggested_depth=need,
+        )
+    lhs = leaf_vector(G, m.depth, [(piece, 1.0) for piece in pieces])
+    rhs = leaf_vector(G, m.depth, [(B, 1.0)])
+    return _kernel_contrast(t, m, beta, g, m.depth, lhs, rhs)
 
 
-def _contrast_se(m: MeasureModel, coeffs, contrast: float) -> float:
-    """Standard error of sum(c_i * mass_i) over the measure's leaf cells.
+def _kernel_contrast(t: KernelTable, m: MeasureModel, beta: float,
+                     g: GroupElement, depth: int, lhs: list, rhs: list):
+    """|integral of (lhs - rhs * K(g, .)^beta) dm| with its standard
+    error, for leaf vectors lhs and rhs at `depth`: one linear contrast of
+    the leaf masses."""
+    kern = kernel_leaves(t, g, depth, beta)
+    coeff = [a - b * k for a, b, k in zip(lhs, rhs, kern)]
+    value, err = _linear_form(coeff, *_leaves(m, depth), m.n_eff)
+    return abs(value), err
+
+
+def _linear_form(coeff, masses, ses, n_eff: int):
+    """(sum c_i * mass_i, standard error) over leaf masses; terms with
+    c_i = 0 are skipped and the rest are added in leaf order.
 
     Estimated masses from a common sample are one multinomial draw, so
-    Var = (sum c^2 p - (sum c p)^2) / n with plug-in masses; constructed
-    measures fall back to per-cell error bars.
+    Var = (sum c^2 p - (sum c p)^2) / n with plug-in masses; with
+    n_eff = 0 the per-leaf error bars add in quadrature.
     """
-    if m.n_eff > 0:
-        second = sum(c * c * m.cell_mass(cell) for c, cell in coeffs)
-        var = max(second - contrast * contrast, 0.0) / m.n_eff
+    terms = [(c, x, e) for c, x, e in zip(coeff, masses, ses) if c != 0.0]
+    value = sum((c * x for c, x, _ in terms), 0.0)
+    if n_eff > 0:
+        second = sum(c * c * x for c, x, _ in terms)
+        var = max(second - value * value, 0.0) / n_eff
     else:
-        var = sum((c * m.cell_se(cell)) ** 2 for c, cell in coeffs)
-    return math.sqrt(var)
+        var = sum((c * e) ** 2 for c, _, e in terms)
+    return value, math.sqrt(var)
+
+
+def _leaves(m: MeasureModel, depth: int):
+    """(masses, standard errors) of m on the depth-`depth` leaves."""
+    if m.kind == "cylinder":
+        if depth > m.depth:
+            raise PartitionError(
+                f"cell at depth {depth} finer than measure depth "
+                f"{m.depth}; re-estimate deeper",
+                suggested_depth=depth,
+            )
+        return m.leaf_mass, m.leaf_se
+    cells = all_cells(m.group, depth)
+    return [m.cell_mass(c) for c in cells], [m.cell_se(c) for c in cells]
 
 
 def _dirac_residual(t: KernelTable, m: MeasureModel, beta: float,
                     g: GroupElement, B):
     in_B = m.cell_mass(B)
     if isinstance(m.atom, tuple):
-        G = m.group
-        cells = translate_cell(G, G.inv(g), tuple(B))
-        lhs = m.set_mass(cells)
-        k = kernel_on_cell(t, g, m.atom)
-        return abs(lhs - in_B * k**beta), 0.0
+        lhs, _ = cell_pullback_mass(m, g, B)
+        return abs(lhs - in_B * kernel_on_cell(t, g, m.atom) ** beta), 0.0
     # group-fixed labelled atom
     if m.xi is not None:
         kval, kerr = extend_kernel(t, g, m.xi)
@@ -306,8 +331,7 @@ def _dirac_residual(t: KernelTable, m: MeasureModel, beta: float,
 def normalization_check(t: KernelTable, m: MeasureModel, beta: float,
                         g: GroupElement):
     """(integral of K(g^{-1}, .)^beta dm, error); 1 for conformal m."""
-    G = m.group
-    ginv = G.inv(g)
+    ginv = m.group.inv(g)
     if m.kind == "dirac" and not isinstance(m.atom, tuple):
         kval, kerr = ((1.0, m.atom_kernel_dev) if m.xi is None
                       else extend_kernel(t, ginv, m.xi))
@@ -319,13 +343,7 @@ def normalization_check(t: KernelTable, m: MeasureModel, beta: float,
         )
     depth = max(m.depth if m.kind == "cylinder" else len(m.atom),
                 len(ginv.data))
-    total, var = 0.0, 0.0
-    for cell in all_cells(G, depth):
-        k = kernel_on_cell(t, ginv, cell) ** beta
-        mass = m.cell_mass(cell)
-        total += k * mass
-        var += (k * m.cell_se(cell)) ** 2
-    return total, math.sqrt(var)
+    return _linear_form(kernel_leaves(t, ginv, depth, beta), *_leaves(m, depth), 0)
 
 
 # -- Phi curve -------------------------------------------------------------------
@@ -360,9 +378,7 @@ class PhiCurve:
 
 def phi_curve(t: KernelTable, m: MeasureModel, n: int = 1,
               grid=None) -> PhiCurve:
-    if grid is None:
-        grid = PHI_GRID
-    grid = tuple(float(x) for x in grid)
+    grid = tuple(float(x) for x in (PHI_GRID if grid is None else grid))
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing")
     reach = n * t.walk.max_step_length()
@@ -372,41 +388,22 @@ def phi_curve(t: KernelTable, m: MeasureModel, n: int = 1,
             f"n-step support dropped mass {dropped}", suggested_depth=reach
         )
     if m.kind == "dirac" and not isinstance(m.atom, tuple):
-        dev = m.atom_kernel_dev
-        values, errors = [], []
-        for tv in grid:
-            values.append(sum(dist.values()))
-            errors.append(sum(p * _power_err(1.0, dev, tv)
-                              for p in dist.values()))
+        values = [sum(dist.values())] * len(grid)
+        errors = [sum(p * _power_err(1.0, m.atom_kernel_dev, tv)
+                      for p in dist.values()) for tv in grid]
         return PhiCurve(t.walk, m, n, grid, tuple(values), tuple(errors))
-    if m.kind != "cylinder" and not (m.kind == "dirac"
-                                     and isinstance(m.atom, tuple)):
+    if m.kind == "binned":
         raise UnsupportedGroupError("phi_curve needs a cylinder boundary")
+    # a cylinder measure shallower than the n-step reach refuses in _leaves
     depth = max(m.depth if m.kind == "cylinder" else len(m.atom), reach)
-    if m.kind == "cylinder" and depth > m.depth:
-        raise PartitionError(
-            f"measure depth {m.depth} below n-step reach {reach}",
-            suggested_depth=depth,
-        )
-    cells = all_cells(m.group, depth)
-    masses = [m.cell_mass(c) for c in cells]
-    ses = [m.cell_se(c) for c in cells]
-    kern = {}
-    for h in dist:
-        kern[h] = [kernel_on_cell(t, h, c) for c in cells]
+    masses, ses = _leaves(m, depth)
     values, errors = [], []
     for tv in grid:
-        coeff = [0.0] * len(cells)
+        coeff = [0.0] * len(masses)
         for h, p in dist.items():
-            kh = kern[h]
-            for i in range(len(cells)):
-                coeff[i] += p * kh[i] ** tv
-        val = sum(c * ms for c, ms in zip(coeff, masses))
-        if m.n_eff > 0:
-            second = sum(c * c * ms for c, ms in zip(coeff, masses))
-            err = math.sqrt(max(second - val * val, 0.0) / m.n_eff)
-        else:
-            err = math.sqrt(sum((c * s) ** 2 for c, s in zip(coeff, ses)))
+            kern = kernel_leaves(t, h, depth, tv)
+            coeff = [c + p * k for c, k in zip(coeff, kern)]
+        val, err = _linear_form(coeff, masses, ses, m.n_eff)
         values.append(val)
         errors.append(err)
     return PhiCurve(t.walk, m, n, grid, tuple(values), tuple(errors))
@@ -439,9 +436,8 @@ def classify(t: KernelTable, m: MeasureModel, spine: dict | None,
     """
     G = m.group
     spine_found = bool(spine and spine.get("isSpine"))
-    radius = spine.get("radius") if spine else None
-    tol = spine.get("tol") if spine else None
-    max_dev = spine.get("maxDev") if spine else None
+    info = spine or {}
+    radius, tol, max_dev = info.get("radius"), info.get("tol"), info.get("maxDev")
     evidence: dict = {}
     if gens is None:
         gens = list(G.generators())
@@ -486,37 +482,24 @@ def classify(t: KernelTable, m: MeasureModel, spine: dict | None,
                                "pass": worst_z < Z_LIMIT}
     evidence["beta0"] = batteries[0.0]
     evidence["beta1"] = batteries[1.0]
-    admitted = []
-    if batteries[0.0]["pass"]:
-        admitted.append(0)
-    if batteries[1.0]["pass"]:
-        admitted.append(1)
+    admitted = [b for b in (0, 1) if batteries[float(b)]["pass"]]
     if G.kind == "free" and not spine_found:
         feas = invariant_measure_feasibility(G, min(2, m.depth or 2))
         evidence["feasibility"] = feas
         if not feas["feasible"] and 0 in admitted:
             admitted.remove(0)
     evidence["set"] = admitted
-    if spine_found:
-        admissible = "all real beta"
-    else:
-        admissible = "subset of {0, 1}"
-    if batteries[0.0]["pass"]:
-        verdict = "B"
-    elif batteries[1.0]["pass"]:
-        verdict = "C"
-    else:
-        verdict = "none"
+    admissible = "all real beta" if spine_found else "subset of {0, 1}"
+    verdict = ("B" if batteries[0.0]["pass"]
+               else "C" if batteries[1.0]["pass"] else "none")
     return BetaVerdict(verdict, spine_found, radius, tol, max_dev,
                        admissible, evidence)
 
 
 def _default_cells(m: MeasureModel):
-    if m.kind == "cylinder":
-        return all_cells(m.group, 1)
     if m.kind == "binned":
         return list(m.masses)
-    if isinstance(m.atom, tuple):
+    if m.kind == "cylinder" or isinstance(m.atom, tuple):
         return all_cells(m.group, 1)
     return [m.atom]
 
@@ -532,7 +515,15 @@ def invariant_measure_feasibility(G: GroupModel, depth: int) -> dict:
     eliminates in exact rational arithmetic.  An infeasibility certificate
     is a rational combination of constraints reducing to 0 = 1.  Lattice
     case: translations fix both ends, so every measure is invariant.
+
+    The answer depends on (group, depth) only, so it is computed once per
+    process; each call gets its own deep copy to keep or change.
     """
+    return copy.deepcopy(_feasibility(G, depth))
+
+
+@functools.lru_cache(maxsize=64)
+def _feasibility(G: GroupModel, depth: int) -> dict:
     if G.kind == "lattice":
         return {
             "feasible": True,
@@ -546,17 +537,7 @@ def invariant_measure_feasibility(G: GroupModel, depth: int) -> dict:
         )
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    leaves = all_cells(G, depth)
-    index = {w: i for i, w in enumerate(leaves)}
-    nvar = len(leaves)
-
-    def cell_vector(word):
-        row = [Fraction(0)] * nvar
-        for leaf in leaves:
-            if cell_contains(tuple(word), leaf):
-                row[index[leaf]] = Fraction(1)
-        return row
-
+    nvar = len(all_cells(G, depth))
     rows, rhs, labels = [], [], []
     rows.append([Fraction(1)] * nvar)
     rhs.append(Fraction(1))
@@ -570,12 +551,8 @@ def invariant_measure_feasibility(G: GroupModel, depth: int) -> dict:
                 if any(len(p) > depth for p in pieces):
                     skipped += 1
                     continue
-                row = [Fraction(0)] * nvar
-                for p in pieces:
-                    for leaf, coeff in zip(leaves, cell_vector(p)):
-                        row[index[leaf]] += coeff
-                base = cell_vector(v)
-                row = [a - b for a, b in zip(row, base)]
+                terms = [(p, 1) for p in pieces] + [(v, -1)]
+                row = [Fraction(x) for x in leaf_vector(G, depth, terms)]
                 if any(row):
                     rows.append(row)
                     rhs.append(Fraction(0))
@@ -638,11 +615,9 @@ def _rational_solve(rows, rhs, labels) -> dict:
                                  "reduces to 0 = 1",
                 },
             }
-    solution = {i: Fraction(0) for i in range(mvar)}
-    for row_i, col in enumerate(piv_cols):
-        solution[col] = aug[row_i][-1]
-    return {"feasible": True,
-            "solution": {col: solution[col] for col in range(mvar)}}
+    solution = dict.fromkeys(range(mvar), Fraction(0))
+    solution.update((col, aug[i][-1]) for i, col in enumerate(piv_cols))
+    return {"feasible": True, "solution": solution}
 
 
 # -- KMS words ---------------------------------------------------------------------
@@ -671,8 +646,7 @@ def kms_word_eval(m: MeasureModel, w: KmsWord) -> complex:
     f, g = w.reduce()
     if f is None:
         return complex(1.0)
-    G = f.G
-    if g != G.identity():
+    if g != f.G.identity():
         return complex(0.0)
     val, _ = f.integrate(m)
     return complex(val)
@@ -699,40 +673,12 @@ def kms_residual(t: KernelTable, m: MeasureModel, beta: float,
             f"word needs measure depth {depth}, have {m.depth}",
             suggested_depth=depth,
         )
-    ginv = G.inv(g1)
-    contrast = 0.0
-    coeffs = []
     level = m.depth if m.kind == "cylinder" else depth
-    for cell in all_cells(G, level):
-        c = (lhs_fn.value_on(cell)
-             - rhs_fn.value_on(cell) * kernel_on_cell(t, ginv, cell) ** beta)
-        if c != 0.0:
-            contrast += c * m.cell_mass(cell)
-            coeffs.append((c, cell))
-    if m.kind == "cylinder":
-        return abs(contrast), _contrast_se(m, coeffs, contrast)
-    var = sum((c * m.cell_se(cell)) ** 2 for c, cell in coeffs)
-    return abs(contrast), math.sqrt(var)
+    return _kernel_contrast(t, m, beta, G.inv(g1), level,
+                            lhs_fn.values(level), rhs_fn.values(level))
 
 
 # -- product construction ------------------------------------------------------------
-
-
-def factor_pushforward_approximant(G2: GroupModel, factor: int,
-                                   elements) -> BoundaryApproximant:
-    """Witness sequence for the image of a factor boundary point.
-
-    The factor's escaping sequence x_n is planted in coordinate `factor`
-    of the product with the identity elsewhere.
-    """
-    left, right = G2.factors
-    out = []
-    for x in elements:
-        if factor == 0:
-            out.append(GroupElement("product", (x, right.identity())))
-        else:
-            out.append(GroupElement("product", (left.identity(), x)))
-    return BoundaryApproximant.sequence(G2, out)
 
 
 def phi_map_pushforward_check(t2: KernelTable, t1: KernelTable,
@@ -777,11 +723,7 @@ def phi_map_pushforward_check(t2: KernelTable, t1: KernelTable,
         g0 = ball0.elements[idx(len(ball0.elements))]
         h = ball1.elements[idx(len(ball1.elements))]
         gh = GroupElement("product", (g0, h))
-        seq = []
-        x = G1.identity()
-        for letter in prefix:
-            x = G1.mul(x, GroupElement("free", (letter,)))
-            seq.append(x)
+        seq = [GroupElement("free", prefix[:i + 1]) for i in range(len(prefix))]
         n_use = None
         for n in range(len(seq) - 1, -1, -1):
             pt = GroupElement("product", (left.identity(), seq[n]))
@@ -852,8 +794,7 @@ def phi_map_pushforward_check(t2: KernelTable, t1: KernelTable,
 
 
 def _random_reduced_word(G: GroupModel, rng, depth: int) -> tuple:
-    k = G.params[0]
-    letters = [i for i in range(1, k + 1)] + [-i for i in range(1, k + 1)]
+    letters = _letters(G.params[0])
     word = []
     for _ in range(depth):
         choices = [s for s in letters if not (word and word[-1] == -s)]

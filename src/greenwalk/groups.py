@@ -295,6 +295,8 @@ def _serialize(G: GroupModel, a: GroupElement) -> str:
 
 
 def parse_element(G: GroupModel, text: str) -> GroupElement:
+    if not isinstance(text, str):
+        raise ConfigError(f"element must be a string, got {text!r}", "elem")
     text = text.strip()
     try:
         return _parse_element(G, text)
@@ -366,6 +368,8 @@ def _parse_element(G: GroupModel, text: str) -> GroupElement:
 
 def parse_group(spec: str) -> GroupModel:
     """Parse a group spec: free:k, lattice:d, wreath:q, product(a,b)."""
+    if not isinstance(spec, str):
+        raise ConfigError(f"group spec must be a string, got {spec!r}", "group")
     spec = spec.strip()
     if spec.startswith("product(") and spec.endswith(")"):
         inner = spec[len("product(") : -1]

@@ -4,17 +4,22 @@ Free-group boundaries carry the cylinder algebra of reduced-word
 prefixes.  Translating a cylinder by a group element stays inside the
 algebra but may need deeper cells: g * C(v) is C(gv) when the product
 keeps at least one letter of v, and otherwise splits into the cells of
-v's one-letter extensions, handled by a short recursion.  Boundaries
-without a word structure (the two ends of Z, the binned wreath boundary,
-product partitions) use labelled cells instead.
+v's one-letter extensions, handled by a short recursion.  Cells are
+enumerated lexicographically in one letter order, so each cylinder of
+depth <= D is a contiguous range of the depth-D leaves, and a cylinder
+measure answers every cell query with a sum over a range of its leaf
+array.  Boundaries without a word structure (the two ends of Z, the
+binned wreath boundary, product partitions) use labelled cells instead.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
+import types
 from dataclasses import dataclass, field
 
 from .errors import PartitionError, UnsupportedGroupError
@@ -26,15 +31,21 @@ MASS_TOL = 1e-9
 # -- cylinder words on the tree boundary --------------------------------------
 
 
+def _letters(k: int) -> list:
+    """The one letter order a, b, ..., A, B, ... of F_k.  Cells, children
+    and random words all follow it, so cells come out lexicographic and
+    every cylinder is a contiguous range of leaves."""
+    return [i for i in range(1, k + 1)] + [-i for i in range(1, k + 1)]
+
+
 def all_cells(G: GroupModel, depth: int) -> list:
-    """Reduced words of exactly `depth` letters; depth 0 is the whole
-    boundary."""
+    """Reduced words of exactly `depth` letters, lexicographic in the
+    shared letter order; depth 0 is the whole boundary."""
     if G.kind != "free":
         raise UnsupportedGroupError("cylinder cells exist on free groups only")
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    k = G.params[0]
-    letters = [i for i in range(1, k + 1)] + [-i for i in range(1, k + 1)]
+    letters = _letters(G.params[0])
     words = [()]
     for _ in range(depth):
         words = [w + (s,) for w in words for s in letters if not (w and w[-1] == -s)]
@@ -42,9 +53,33 @@ def all_cells(G: GroupModel, depth: int) -> list:
 
 
 def cell_children(G: GroupModel, word: tuple) -> list:
-    k = G.params[0]
-    letters = [i for i in range(1, k + 1)] + [-i for i in range(1, k + 1)]
-    return [word + (s,) for s in letters if not (word and word[-1] == -s)]
+    return [word + (s,) for s in _letters(G.params[0])
+            if not (word and word[-1] == -s)]
+
+
+@functools.lru_cache(maxsize=64)
+def leaf_ranges(G: GroupModel, depth: int) -> types.MappingProxyType:
+    """{w: (lo, hi)} for every reduced word with |w| <= depth: C(w) is
+    all_cells(G, depth)[lo:hi].  Cached, so the mapping is read-only."""
+    ranges = {}
+    for i, leaf in enumerate(all_cells(G, depth)):
+        for cut in range(depth + 1):
+            lo, _ = ranges.get(leaf[:cut], (i, i))
+            ranges[leaf[:cut]] = (lo, i + 1)
+    return types.MappingProxyType(ranges)
+
+
+def leaf_vector(G: GroupModel, depth: int, terms) -> list:
+    """sum of c * 1_C(w) over (w, c) in `terms`, as values on the depth
+    leaves; terms are added in the order given, words outside the tree
+    (not reduced) add nothing."""
+    ranges = leaf_ranges(G, depth)
+    vec = [0.0] * ranges[()][1]
+    for w, c in terms:
+        lo, hi = ranges.get(tuple(w), (0, 0))
+        for i in range(lo, hi):
+            vec[i] += c
+    return vec
 
 
 def cell_name(G: GroupModel, word: tuple) -> str:
@@ -117,6 +152,17 @@ class MeasureModel:
     # bounding how far K(g, atom) may sit from 1
     atom_kernel_dev: float = 0.0
 
+    def __post_init__(self):
+        if self.kind != "cylinder":
+            return
+        # leaf arrays in all_cells order, where every cylinder of depth
+        # <= D is a contiguous range; the masses and se dicts stay public
+        leaves = all_cells(self.group, self.depth)
+        self._ranges = leaf_ranges(self.group, self.depth)
+        self.leaf_mass = [self.masses[w] for w in leaves]
+        self._leaf_var = [self.se[w] ** 2 for w in leaves]
+        self.leaf_se = [self.cell_se(w) for w in leaves]
+
     # -- constructors ---------------------------------------------------------
 
     @staticmethod
@@ -170,6 +216,22 @@ class MeasureModel:
             if cell not in self.masses:
                 raise PartitionError(f"unknown bin {cell!r}", suggested_depth=0)
             return self.masses[cell]
+        lo, hi = self._leaf_span(cell)
+        return sum(self.leaf_mass[lo:hi])
+
+    def cell_se(self, cell) -> float:
+        if self.kind == "dirac":
+            return 0.0
+        if self.kind == "binned":
+            return self.se.get(cell, 0.0)
+        if self.n_eff > 0:
+            m = self.cell_mass(cell)
+            return math.sqrt(max(m * (1.0 - m), 0.0) / self.n_eff)
+        lo, hi = self._leaf_span(cell)
+        return math.sqrt(sum(self._leaf_var[lo:hi]))
+
+    def _leaf_span(self, cell) -> tuple:
+        """C(cell) as a leaf range; words outside the tree are empty."""
         word = tuple(cell)
         if len(word) > self.depth:
             raise PartitionError(
@@ -177,21 +239,7 @@ class MeasureModel:
                 f"{self.depth}; re-estimate deeper",
                 suggested_depth=len(word),
             )
-        return sum(m for w, m in self.masses.items()
-                   if cell_contains(word, w))
-
-    def cell_se(self, cell) -> float:
-        if self.kind == "dirac":
-            return 0.0
-        if self.kind == "binned":
-            return self.se.get(cell, 0.0)
-        word = tuple(cell)
-        if self.n_eff > 0:
-            m = self.cell_mass(cell)
-            return math.sqrt(max(m * (1.0 - m), 0.0) / self.n_eff)
-        var = sum(self.se[w] ** 2 for w in self.masses
-                  if cell_contains(word, w))
-        return math.sqrt(var)
+        return self._ranges.get(word, (0, 0))
 
     def set_mass(self, cells) -> float:
         """Mass of a disjoint union of cells."""

@@ -263,7 +263,10 @@ def named_walk(spec: str) -> WalkSpec:
            | product:a,<left>,<right>
     Nested product arguments are resolved by the fixed arity of each name.
     """
-    walk, rest = _parse_named(spec.strip())
+    try:
+        walk, rest = _parse_named(spec.strip())
+    except ValueError as exc:
+        raise ConfigError(f"bad walk spec {spec!r}: {exc}", "walk") from None
     if rest:
         raise ConfigError(f"trailing walk spec fragment {rest!r}", "walk")
     return walk
@@ -312,7 +315,10 @@ def _take_args(tail: str, n: int):
 def walk_from_json(obj) -> WalkSpec:
     """Build a walk from {"group": "...", "steps": [{"elem": "...", "p": ...}]}."""
     if isinstance(obj, str):
-        obj = json.loads(obj)
+        try:
+            obj = json.loads(obj)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"walk JSON is not valid: {exc}", "walk") from None
     if not isinstance(obj, dict):
         raise ConfigError("walk JSON must be an object", "walk")
     unknown = set(obj) - {"group", "steps", "name"}
@@ -321,11 +327,17 @@ def walk_from_json(obj) -> WalkSpec:
     if "group" not in obj or "steps" not in obj:
         raise ConfigError("walk JSON needs 'group' and 'steps'", "walk")
     G = parse_group(obj["group"])
+    if not isinstance(obj["steps"], list) or not all(
+            isinstance(entry, dict) for entry in obj["steps"]):
+        raise ConfigError("walk steps must be a list of {elem, p} objects",
+                          "steps")
     steps = {}
     for entry in obj["steps"]:
         unknown = set(entry) - {"elem", "p"}
         if unknown:
             raise ConfigError(f"unknown step keys {sorted(unknown)}", "steps")
+        if "elem" not in entry or "p" not in entry:
+            raise ConfigError("every walk step needs 'elem' and 'p'", "steps")
         el = parse_element(G, entry["elem"])
         if el in steps:
             raise ConfigError(

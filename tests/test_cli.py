@@ -1,6 +1,13 @@
+import contextlib
+import copy
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from greenwalk.cli import main
 
@@ -206,7 +213,14 @@ def test_suite_small(tmp_path, capsys):
     ("green", {"walk": {"group": "free:2", "steps": [
         {"elem": "a", "p": "half"}, {"elem": "A", "p": 0.25},
         {"elem": "b", "p": 0.25}]}}),
-], ids=["martin-end", "phi-grid", "walk-p"])
+    ("martin", {"g": 5, "end": "end:b"}),
+    ("martin", {"g": "a", "end": 7}),
+    ("green", {"walk": {"group": "free:2", "steps": [
+        {"elem": "a"}, {"elem": "A", "p": 0.5}]}}),
+    ("green", {"walk": "srw-free:x"}),
+    ("green", {"walk": "{not json"}),
+], ids=["martin-end", "phi-grid", "walk-p", "martin-g-int", "martin-end-int",
+        "walk-no-p", "walk-name-arg", "walk-json-text"])
 def test_malformed_input_exits_usage(capsys, tmp_path, command, payload):
     cfg = write_config(tmp_path, "c.json", payload)
     assert main([command, "--config", cfg]) == 64
@@ -224,3 +238,76 @@ def test_suite_stdout_is_json(capsys, monkeypatch):
     assert code == 0
     assert json.loads(captured.out) == report
     assert "PASS" in captured.err
+
+
+# Small valid configs, one per input path: element and approximant parsing
+# (martin), walk JSON (green), cell functions (kms), measures and grids (phi).
+# "REPORT" is replaced by a report path inside a scratch directory.
+_VALID_CONFIGS = {
+    "martin": {"walk": "srw-free:2", "radius": 3, "g": "a", "end": "end:ab",
+               "tolerance": 1e-6},
+    "green": {"walk": {"group": "free:2", "name": "srw",
+                       "steps": [{"elem": s, "p": 0.25} for s in "aAbB"]},
+              "radius": 3, "method": "linear-solve", "out": "REPORT",
+              "format": "json", "seed": 7},
+    "kms": {"walk": "srw-free:2", "radius": 3, "depth": 2, "samples": 1000,
+            "workers": 1, "beta": 1.0, "g1": "a", "f1": "a", "f2": "b"},
+    "phi": {"walk": "srw-free:2", "radius": 3, "measure": "exact",
+            "depth": 2, "power": 1, "grid": [0.0, 1.0]},
+}
+# deleting samples falls back to the 200,000-path default: valid, but slow
+_KEEP = {("samples",)}
+_WRONG = [None, True, 3, 2.5, "zz", [], ["a"], {}, {"x": 1}]
+
+
+def _fields(cfg, path=()):
+    """Paths of every field, nested walk-JSON fields included."""
+    for key, val in (cfg.items() if isinstance(cfg, dict) else enumerate(cfg)):
+        yield path + (key,)
+        if isinstance(val, (dict, list)):
+            yield from _fields(val, path + (key,))
+
+
+_CASES = [(command, path) for command, cfg in sorted(_VALID_CONFIGS.items())
+          for path in _fields(cfg)]
+
+
+@st.composite
+def _malformed(draw):
+    command, path = draw(st.sampled_from(_CASES))
+    cfg = copy.deepcopy(_VALID_CONFIGS[command])
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    old = parent[path[-1]]
+    wrong = [v for v in _WRONG if type(v) is not type(old)]
+    value = draw(st.sampled_from(wrong + ([] if path in _KEEP else ["DELETE"])))
+    if value == "DELETE":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return command, cfg
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_malformed())
+def test_malformed_config_never_tracebacks(case):
+    """One field of a small valid config gets a wrong type or goes away:
+    the CLI ends with a documented exit code, never an exception."""
+    command, cfg = case
+    with tempfile.TemporaryDirectory() as scratch:
+        if cfg.get("out") == "REPORT":
+            cfg["out"] = os.path.join(scratch, "report.json")
+        path = os.path.join(scratch, "c.json")
+        with open(path, "w") as f:
+            json.dump(cfg, f)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            try:
+                code = main([command, "--config", path])
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 2, 3, 64), (command, cfg, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -274,6 +274,18 @@ def test_feasibility_certificate_recombines():
     assert total_rhs != 0
 
 
+def test_feasibility_copies_are_independent():
+    """classify keeps the result in its evidence; changing one returned
+    dict must not reach the next caller."""
+    first = invariant_measure_feasibility(F2, 2)
+    want = invariant_measure_feasibility(F2, 2)
+    first["feasible"] = True
+    first["certificate"]["multipliers"].clear()
+    first["certificate"]["statement"] = "changed"
+    assert invariant_measure_feasibility(F2, 2) == want
+    assert want["certificate"]["multipliers"]
+
+
 def test_feasibility_lattice():
     out = invariant_measure_feasibility(Z, 1)
     assert out["feasible"]

@@ -10,9 +10,12 @@ from greenwalk.groups import (
     GroupModel,
     ball_enumerate,
     parse_element,
+    shared_ball,
 )
 from greenwalk.kernels import (
+    BALL_CAP_DEFAULT,
     BallOperator,
+    _build_solve,
     build_kernel_table,
     harnack_scan,
     kernel_bounds_check,
@@ -278,3 +281,34 @@ def test_non_generator_step_table_unchanged():
 def test_solve_needs_margin():
     with pytest.raises(ValueError, match="margin"):
         build_kernel_table(wreath_walk(2, 0.75, 0.4), radius=2, margin=0)
+
+
+# -- entry error bars against closed forms ----------------------------------------
+#
+# Linear-solve tables report |G_{r+m} - G_{r+m/2}| per entry: an estimate,
+# not a proven bound.  Against the closed forms (Woess 2000, ch. 1) it holds
+# with room on every exposed entry: the worst |error| / entry_error measured
+# was 0.125 on the F_2 ball route (r = 4, m = 4, 161 entries) and 0.444 on
+# drift-Z (p = 0.7, r = 20, 41 entries).
+
+
+def test_entry_error_covers_f2_closed_form():
+    # the isotropic walk normally takes the radial chain; the ball route is
+    # the one whose error bar is in question
+    walk = srw_free(2)
+    t = _build_solve(walk, 4, 1e-6, 4, BALL_CAP_DEFAULT)
+    exposed = shared_ball(walk.group, 4).elements
+    assert len(exposed) == 161
+    for g in exposed:
+        exact = 1.5 * 3.0 ** -len(g.data)
+        assert abs(t.green_at(g) - exact) <= t.entry_error(g), g
+
+
+def test_entry_error_covers_drift_z_closed_form(t_drift):
+    p = 0.7
+    exposed = shared_ball(t_drift.walk.group, t_drift.radius).elements
+    assert len(exposed) == 41
+    for g in exposed:
+        n = g.data[0]
+        exact = (1 if n >= 0 else ((1 - p) / p) ** -n) / (2 * p - 1)
+        assert abs(t_drift.green_at(g) - exact) <= t_drift.entry_error(g), g

@@ -1,0 +1,163 @@
+"""Leaf arrays against the leaf-by-leaf cell algebra.
+
+A cylinder measure keeps its depth-D leaf masses in all_cells order, in
+which every cylinder of depth <= D is a contiguous range of leaves.  The
+range sums must equal the brute-force sums over `cell_contains` exactly,
+and the cell functionals must reproduce, float for float, the values in
+leaf_functionals.json.  `record` wrote that file with the leaf-by-leaf
+implementation (one `cell_mass` scan and one tree-kernel oracle call per
+leaf), on the inputs of the session fixtures t_f2, m_exact and m_f2.
+"""
+
+import json
+import math
+import os
+import random
+
+import pytest
+
+from greenwalk.conformal import (
+    CellFunction,
+    _cylinder_contrast,
+    kms_residual,
+    normalization_check,
+    phi_curve,
+)
+from greenwalk.groups import GroupModel, parse_element
+from greenwalk.measures import (
+    MeasureModel,
+    all_cells,
+    cell_contains,
+    translate_cell,
+)
+
+F2 = GroupModel.free(2)
+REFERENCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                         "leaf_functionals.json")
+
+
+def _random_measure(G, depth, rng, n_eff):
+    """Random masses (about a fifth of the leaves empty) and error bars."""
+    leaves = all_cells(G, depth)
+    raw = [0.0 if rng.random() < 0.2 else rng.random() for _ in leaves]
+    total = sum(raw)
+    masses = {w: x / total for w, x in zip(leaves, raw)}
+    se = {w: 1e-3 * rng.random() for w in leaves}
+    return MeasureModel.cylinder(G, depth, masses, se, n_eff=n_eff)
+
+
+def _brute_mass(m, word):
+    return sum(x for w, x in m.masses.items() if cell_contains(word, w))
+
+
+def _brute_se(m, word):
+    if m.n_eff > 0:
+        p = _brute_mass(m, word)
+        return math.sqrt(max(p * (1.0 - p), 0.0) / m.n_eff)
+    return math.sqrt(sum(m.se[w] ** 2 for w in m.masses
+                         if cell_contains(word, w)))
+
+
+def _cylinders(G, depth, rng, limit=1000):
+    """Every cylinder of depth <= `depth`, or all of depth <= 2 plus a
+    seeded sample when there are more than `limit`."""
+    words = [w for d in range(depth + 1) for w in all_cells(G, d)]
+    if len(words) <= limit:
+        return words
+    shallow = [w for w in words if len(w) <= 2]
+    return shallow + rng.sample(words[len(shallow):], limit - len(shallow))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n_eff", [0, 5000])
+def test_range_sums_equal_brute_force(k, depth, n_eff):
+    G = GroupModel.free(k)
+    rng = random.Random(1000 * k + 10 * depth + (n_eff > 0))
+    m = _random_measure(G, depth, rng, n_eff)
+    for word in _cylinders(G, depth, rng):
+        assert m.cell_mass(word) == _brute_mass(m, word), word
+        assert m.cell_se(word) == _brute_se(m, word), word
+    # disjoint unions: the pieces of translated cylinders
+    for g in ("a", "bA", "Ab")[:depth]:
+        g = parse_element(G, g)
+        for B in all_cells(G, min(2, depth - len(g.data) + 1)):
+            pieces = translate_cell(G, g, B)
+            if any(len(p) > depth for p in pieces):
+                continue
+            assert m.set_mass(pieces) == sum(_brute_mass(m, p) for p in pieces)
+            if n_eff == 0:
+                assert m.set_se(pieces) == math.sqrt(
+                    sum(_brute_se(m, p) ** 2 for p in pieces))
+
+
+def test_cylinders_are_leaf_ranges():
+    from greenwalk.measures import leaf_ranges
+
+    for k, depth in ((2, 4), (3, 3)):
+        G = GroupModel.free(k)
+        leaves = all_cells(G, depth)
+        for word, (lo, hi) in leaf_ranges(G, depth).items():
+            inside = [i for i, leaf in enumerate(leaves)
+                      if cell_contains(word, leaf)]
+            assert inside == list(range(lo, hi)), word
+
+
+# -- functionals, recorded from the leaf-by-leaf implementation ----------------
+
+KMS_WORDS = [("a", "a", "1"), ("ab", "b", "a"), ("A", "aB", "A"),
+             ("Ba", "B", "ab"), ("b", "a", "1"), ("aB", "ab", "Ab")]
+CONTRASTS = [("a", "a"), ("b", "aB"), ("AB", "b"), ("ab", "BA"), ("B", "bb")]
+NORMALIZATIONS = ["a", "bA", "aba"]
+INTEGRANDS = [("a", "ab", "b"), ("Ba", "1", "A"), ("b", "bA", "ab")]
+
+
+def _fn(word):
+    if word == "1":
+        return CellFunction.one(F2)
+    return CellFunction.indicator(F2, parse_element(F2, word).data)
+
+
+def functionals(t, m) -> dict:
+    """Every cell functional on fixed inputs, keyed by a readable label."""
+    el = lambda s: parse_element(F2, s)
+    out = {}
+    for g, c1, c2 in KMS_WORDS:
+        for beta in (1.0, 2.0):
+            out[f"kms g={g} f1={c1} f2={c2} beta={beta}"] = kms_residual(
+                t, m, beta, _fn(c1), el(g), _fn(c2), F2.inv(el(g)))
+    for g, B in CONTRASTS:
+        for beta in (0.0, 1.0, 2.0):
+            out[f"contrast g={g} B={B} beta={beta}"] = _cylinder_contrast(
+                t, m, beta, el(g), el(B).data)
+    for g in NORMALIZATIONS:
+        for beta in (0.5, 1.0):
+            out[f"normalization g={g} beta={beta}"] = normalization_check(
+                t, m, beta, el(g))
+    curve = phi_curve(t, m, 1)
+    out["phi values"] = curve.values
+    out["phi errors"] = curve.errors
+    for a, b, g in INTEGRANDS:
+        f = _fn(a) * _fn(b).compose_shift(el(g))
+        out[f"integrate {a}*({b} shifted by {g})"] = f.integrate(m)
+    return {key: list(val) for key, val in out.items()}
+
+
+def record(t, m_exact, m_f2, path=REFERENCE):
+    """Write the reference file (run once, with the implementation the
+    leaf arrays must reproduce)."""
+    with open(path, "w") as f:
+        json.dump({"exact": functionals(t, m_exact),
+                   "estimate": functionals(t, m_f2)}, f, indent=1)
+        f.write("\n")
+
+
+@pytest.mark.parametrize("which", ["exact", "estimate"])
+def test_functionals_match_recorded(which, t_f2, m_exact, m_f2):
+    with open(REFERENCE) as f:
+        want = json.load(f)[which]
+    got = functionals(t_f2, m_exact if which == "exact" else m_f2)
+    assert set(got) == set(want)
+    for key in want:
+        # repr also tells 0 from 0.0, which a report would print differently
+        assert list(map(repr, got[key])) == list(map(repr, want[key])), key
