@@ -11,8 +11,9 @@ representation per element, so dict/set membership is exact.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -30,8 +31,8 @@ class GroupElement:
     data layout by kind:
       free     -- reduced word, tuple of nonzero ints (+i generator, -i inverse)
       lattice  -- tuple of d ints
-      wreath   -- (lamps, pos): lamps is a tuple of (site, value) pairs sorted
-                  by site with values in 1..q-1; pos is an int
+      wreath   -- (lamps, pos): lamps is a tuple of (site, value) pairs with
+                  strictly increasing sites and values in 1..q-1; pos is an int
       product  -- (left element, right element)
     """
 
@@ -127,7 +128,8 @@ class GroupModel:
         elif self.kind == "wreath":
             q = self.params[0]
             lamps, pos = a.data
-            if not isinstance(pos, int) or list(lamps) != sorted(lamps):
+            sites = [site for site, _ in lamps]
+            if not isinstance(pos, int) or sites != sorted(set(sites)):
                 raise RepresentationError(f"malformed wreath data {a.data!r}")
             for site, val in lamps:
                 if not isinstance(site, int) or not 1 <= val <= q - 1:
@@ -148,30 +150,27 @@ class GroupModel:
 
     def _mul(self, a: GroupElement, b: GroupElement) -> GroupElement:
         """`mul` without `check`, for elements already in canonical form."""
+        return GroupElement(self.kind, self._dmul(a.data, b.data))
+
+    def _dmul(self, a: tuple, b: tuple) -> tuple:
+        """The product of two canonical `data` tuples of this group."""
         if self.kind == "free":
-            return GroupElement("free", _free_concat(a.data, b.data))
+            return _free_concat(a, b)
         if self.kind == "lattice":
-            return GroupElement(
-                "lattice", tuple(x + y for x, y in zip(a.data, b.data))
-            )
+            return tuple(x + y for x, y in zip(a, b))
         if self.kind == "wreath":
-            q = self.params[0]
-            lamps_a, pos_a = a.data
-            lamps_b, pos_b = b.data
-            merged = dict(lamps_a)
-            for site, val in lamps_b:
+            lamps, pos_a = a
+            lamps_b, pos_b = b
+            for site, val in lamps_b:  # none for a translation
                 s = site + pos_a
-                v = (merged.get(s, 0) + val) % q
-                if v:
-                    merged[s] = v
-                else:
-                    merged.pop(s, None)
-            return GroupElement(
-                "wreath", (tuple(sorted(merged.items())), pos_a + pos_b)
-            )
-        left = self.factors[0]._mul(a.data[0], b.data[0])
-        right = self.factors[1]._mul(a.data[1], b.data[1])
-        return GroupElement("product", (left, right))
+                i = bisect_left(lamps, (s,))
+                old = lamps[i][1] if i < len(lamps) and lamps[i][0] == s else 0
+                v = (old + val) % self.params[0]
+                lamps = (lamps[:i] + (((s, v),) if v else ())
+                         + lamps[i + (old > 0):])
+            return lamps, pos_a + pos_b
+        return (self.factors[0]._mul(a[0], b[0]),
+                self.factors[1]._mul(a[1], b[1]))
 
     def inv(self, a: GroupElement) -> GroupElement:
         self.check(a)
@@ -287,7 +286,7 @@ def _serialize(G: GroupModel, a: GroupElement) -> str:
         return "(" + ",".join(str(x) for x in a.data) + ")"
     if G.kind == "wreath":
         lamps, pos = a.data
-        body = ",".join(f"{site}:{val}" for site, val in lamps)
+        body = ",".join([f"{site}:{val}" for site, val in lamps])
         return "{" + body + "}@" + str(pos)
     left = _serialize(G.factors[0], a.data[0])
     right = _serialize(G.factors[1], a.data[1])
@@ -406,13 +405,13 @@ class Ball:
     """All elements of word length <= radius, in a deterministic order.
 
     elements are sorted lexicographically by their serialized canonical
-    form; `length` maps each element to its word length and `index` to its
-    position in `elements`.  The arrays are indexed by that position:
-    `depth[i]` is the word length of elements[i], and `neighbours`, of
-    shape (len(ball), len(group.generators())) and dtype int32, is the
-    ball's Cayley graph: entry [i, j] is the index of
-    elements[i] * generators[j], or -1 when that product lies outside the
-    ball.
+    form; `index` maps each element to its position in `elements`, and
+    `length` (built on first use) to its word length.  The arrays are
+    indexed by that position: `depth[i]` is the word length of
+    elements[i], and `neighbours`, of shape (len(ball),
+    len(group.generators())) and dtype int32, is the ball's Cayley graph:
+    entry [i, j] is the index of elements[i] * generators[j], or -1 when
+    that product lies outside the ball.
     """
 
     def __init__(self, group: GroupModel, radius: int, elements: tuple,
@@ -423,7 +422,10 @@ class Ball:
         self.depth = depth
         self.neighbours = neighbours
         self.index = index
-        self.length = dict(zip(elements, depth.tolist()))
+
+    @cached_property
+    def length(self) -> dict:
+        return dict(zip(self.elements, self.depth.tolist()))
 
     def __len__(self):
         return len(self.elements)
@@ -437,22 +439,24 @@ class Ball:
 
 def ball_enumerate(G: GroupModel, radius: int,
                    cap: int = BALL_CAP_DEFAULT) -> Ball:
-    """Breadth-first enumeration of the ball B(e, radius).
+    """The ball B(e, radius); products come from `_product_ball`.
 
-    Every element, the outermost sphere's too, is multiplied on the right
-    by each generator of `generators()` exactly once; the products fill
-    `Ball.neighbours`.  The multiplications skip `check`: the identity and
-    the generators are canonical and products of canonical elements are
-    canonical, so elements are checked only where they enter the package
-    (parsers, constructors, the public `mul` and `inv`).  Raises
-    ResourceLimitError when more than `cap` elements would be produced.
+    Otherwise a breadth-first search on canonical `data` tuples multiplies
+    every element, the outermost sphere's too, on the right by each
+    generator once with `_dmul`; the products fill `Ball.neighbours`.  No
+    `check` runs: products of canonical data are canonical, so elements
+    are checked where they enter the package (parsers, constructors, the
+    public `mul` and `inv`).  Raises ResourceLimitError when more than
+    `cap` elements would be produced.
     """
     if radius < 0:
         raise ConfigError(f"ball radius must be >= 0, got {radius}", "radius")
-    gens = G.generators()
-    mul = G._mul
+    if G.kind == "product":
+        return _product_ball(G, radius, cap)
+    gens = [s.data for s in G.generators()]
+    mul = G._dmul
     order = [G.identity()]  # elements by BFS id
-    ids = {order[0]: 0}
+    ids = {order[0].data: 0}  # canonical data -> BFS id
     nbr = array("i")  # row-major (BFS id, generator) -> BFS id or -1
     starts = []  # BFS id of the first element at each distance
     lo = 0
@@ -461,39 +465,88 @@ def ball_enumerate(G: GroupModel, radius: int,
         starts.append(lo)
         grow = dist < radius
         for i in range(lo, hi):
-            a = order[i]
+            a = order[i].data
             for s in gens:
                 b = mul(a, s)
                 j = ids.get(b, -1)
                 if j < 0 and grow:
                     j = len(order)
                     if j >= cap:
-                        raise ResourceLimitError(
-                            f"ball of radius {radius} on {G.spec()} exceeds "
-                            f"cap of {cap} elements",
-                            cap_name="ball_cap",
-                            cap_value=cap,
-                        )
+                        raise _cap_error(G, radius, cap)
                     ids[b] = j
-                    order.append(b)
+                    order.append(GroupElement(G.kind, b))
                 nbr.append(j)
         lo = hi
+    del ids
     n = len(order)
-    perm = sorted(range(n), key=lambda i: _serialize(G, order[i]))
-    elements = tuple(map(order.__getitem__, perm))
-    del order
-    bfs_id = np.array(perm, dtype=np.int32)  # position -> BFS id
+    depth = np.searchsorted(starts, np.arange(n), side="right") - 1
+    table = np.frombuffer(nbr, dtype=np.int32).reshape(n, len(gens))
+    return _sorted_ball(G, radius, [_serialize(G, a) for a in order],
+                        order.__getitem__, depth, table)
+
+
+def _product_ball(G: GroupModel, radius: int, cap: int) -> Ball:
+    """B(radius) on a product: the factor-ball index pairs (i, j) with
+    L.depth[i] + R.depth[j] <= radius, since word length on a product is
+    |g| + |h| and each generator acts on one factor.  The admissible j for
+    an i are a prefix of R's indices by depth, so (i, j) gets the id
+    offset[i] + r_rank[j], and the cap is checked before any pair is made.
+    """
+    try:
+        L, R = (ball_enumerate(F, radius, cap) for F in G.factors)
+    except ResourceLimitError:  # a factor ball is a subset of the product's
+        raise _cap_error(G, radius, cap) from None
+    dl, dr = L.depth, R.depth
+    r_order = np.argsort(dr, kind="stable")
+    r_rank = np.empty_like(r_order)
+    r_rank[r_order] = np.arange(len(R))
+    within = np.cumsum(R.sphere_sizes())  # |B_R(d)| for d = 0..radius
+    counts = within[radius - dl]  # admissible j for each i
+    n = int(counts.sum())  # sum over a+b <= r of |S_L(a)| * |S_R(b)|
+    if n > cap:
+        raise _cap_error(G, radius, cap)
+    offset = np.zeros(len(L) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offset[1:])
+    I = np.repeat(np.arange(len(L)), counts)
+    J = r_order[np.arange(n) - offset[I]]
+    li, rj = L.neighbours[I], R.neighbours[J]
+    table = np.hstack([
+        np.where((li >= 0) & (dl[li] + dr[J][:, None] <= radius),
+                 offset[li] + r_rank[J][:, None], -1),
+        np.where((rj >= 0) & (dl[I][:, None] + dr[rj] <= radius),
+                 offset[I][:, None] + r_rank[rj], -1),
+    ])
+    sl = [_serialize(L.group, a) for a in L.elements]
+    sr = [_serialize(R.group, b) for b in R.elements]
+    I, J = I.tolist(), J.tolist()
+    keys = ["[" + sl[i] + ";" + sr[j] + "]" for i, j in zip(I, J)]
+    left, right = L.elements, R.elements
+    return _sorted_ball(
+        G, radius, keys,
+        lambda k: GroupElement("product", (left[I[k]], right[J[k]])),
+        dl[I] + dr[J], table)
+
+
+def _sorted_ball(G: GroupModel, radius: int, keys: list, element,
+                 depth: np.ndarray, table: np.ndarray) -> Ball:
+    """The Ball of the elements element(k) with serialized forms keys[k],
+    word lengths depth[k] and neighbour ids table[k] (-1 outside)."""
+    n = len(keys)
+    perm = sorted(range(n), key=keys.__getitem__)
+    elements = tuple(map(element, perm))
+    gen_id = np.array(perm, dtype=np.int32)  # position -> generation id
     del perm
-    for pos, a in enumerate(elements):
-        ids[a] = pos
-    rank = np.empty(n + 1, dtype=np.int32)  # BFS id -> position
-    rank[bfs_id] = np.arange(n, dtype=np.int32)
+    rank = np.empty(n + 1, dtype=np.int32)  # generation id -> position
+    rank[gen_id] = np.arange(n, dtype=np.int32)
     rank[n] = -1  # so that an outside entry (-1) stays -1
-    table = np.frombuffer(nbr, dtype=np.int32)
-    table[:] = rank[table]
-    return Ball(G, radius, elements,
-                np.searchsorted(starts, bfs_id, side="right") - 1,
-                table.reshape(n, len(gens))[bfs_id], ids)
+    return Ball(G, radius, elements, depth[gen_id], rank[table[gen_id]],
+                dict(zip(elements, range(n))))
+
+
+def _cap_error(G: GroupModel, radius: int, cap: int) -> ResourceLimitError:
+    return ResourceLimitError(f"ball of radius {radius} on {G.spec()} "
+                              f"exceeds cap of {cap} elements",
+                              cap_name="ball_cap", cap_value=cap)
 
 
 @lru_cache(maxsize=64)
@@ -504,3 +557,18 @@ def _cached_ball(spec: str, radius: int, cap: int) -> Ball:
 def shared_ball(G: GroupModel, radius: int, cap: int = BALL_CAP_DEFAULT) -> Ball:
     """Memoised ball for repeated table builds on the same group."""
     return _cached_ball(G.spec(), radius, cap)
+
+
+def word_length(G: GroupModel, a: GroupElement) -> int:
+    """Word length of `a`: the closed form when there is one, else its
+    depth in the smallest shared ball that holds it (radius <= 64)."""
+    hint = G.word_length_hint(a)
+    if hint is not None:
+        return hint
+    for radius in range(1, 65):
+        ball = shared_ball(G, radius)
+        i = ball.index.get(a)
+        if i is not None:
+            return int(ball.depth[i])
+    raise RepresentationError(f"element {a!r} not within word length 64; "
+                              "cannot size the step support")

@@ -34,8 +34,9 @@ from .errors import (
     ResourceLimitError,
     TransienceError,
 )
-from .groups import BALL_CAP_DEFAULT, Ball, GroupElement, shared_ball
-from .walks import WalkSpec, _bfs_length, exact_steps
+from .groups import (BALL_CAP_DEFAULT, Ball, GroupElement, shared_ball,
+                     word_length)
+from .walks import WalkSpec, exact_steps
 
 RHO_SAFETY = 1.05
 RHO_GATE = 1.0 - 1e-6
@@ -624,7 +625,8 @@ def harnack_scan(table: KernelTable, radius: int,
     pair_ball = shared_ball(G, 2 * radius, cap)
     elements = ball.elements
     inverses = [G.inv(x) for x in elements]
-    dist = [[pair_ball.length[G._mul(inv, y)] for y in elements]
+    index, depth = pair_ball.index, pair_ball.depth.tolist()
+    dist = [[depth[index[G._mul(inv, y)]] for y in elements]
             for inv in inverses]
     best = 1.0
     for z in elements:
@@ -652,10 +654,7 @@ def tail_condition_check(walk: WalkSpec, constant: float):
     """
     total = 0.0
     for s, p in walk.steps:
-        hint = walk.group.word_length_hint(s)
-        if hint is None:
-            hint = _bfs_length(walk.group, s)
-        total += p * constant**hint
+        total += p * constant ** word_length(walk.group, s)
     return total, math.isfinite(total)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import ConfigError, RepresentationError
+from .errors import ConfigError
 from .groups import (
     GroupElement,
     GroupModel,
@@ -22,6 +22,7 @@ from .groups import (
     parse_element,
     parse_group,
     serialize_element,
+    word_length,
 )
 
 PROB_SUM_TOL = 1e-12
@@ -53,17 +54,9 @@ class WalkSpec:
     def support(self) -> tuple:
         return tuple(s for s, _ in self.steps)
 
-    def max_step_length(self, lengths: dict | None = None) -> int:
-        out = 0
-        for s, _ in self.steps:
-            hint = self.group.word_length_hint(s)
-            if hint is None:
-                if lengths is None or s not in lengths:
-                    hint = _bfs_length(self.group, s)
-                else:
-                    hint = lengths[s]
-            out = max(out, hint)
-        return out
+    def max_step_length(self) -> int:
+        return max((word_length(self.group, s) for s, _ in self.steps),
+                   default=0)
 
     @cached_property
     def is_isotropic_free_srw(self) -> bool:
@@ -85,31 +78,6 @@ class WalkSpec:
             for i in range(d):
                 drift[i] += p * s.data[i]
         return tuple(drift)
-
-
-def _bfs_length(G: GroupModel, target: GroupElement) -> int:
-    """Word length of one element by breadth-first search."""
-    gens = G.generators()
-    seen = {G.identity()}
-    frontier = [G.identity()]
-    dist = 0
-    while True:
-        if target in seen:
-            return dist
-        dist += 1
-        if dist > 64:
-            raise RepresentationError(
-                f"element {target!r} not within word length 64; "
-                "cannot size the step support"
-            )
-        nxt = []
-        for a in frontier:
-            for s in gens:
-                b = G.mul(a, s)
-                if b not in seen:
-                    seen.add(b)
-                    nxt.append(b)
-        frontier = nxt
 
 
 def make_walk(group: GroupModel, steps: dict, name: str = "",

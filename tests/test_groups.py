@@ -1,3 +1,6 @@
+import re
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +13,7 @@ from greenwalk.groups import (
     parse_element,
     parse_group,
     serialize_element,
+    word_length,
 )
 
 F2 = GroupModel.free(2)
@@ -92,6 +96,8 @@ def test_free_canonical_form_rejected():
 def test_wreath_canonical_form_rejected():
     with pytest.raises(RepresentationError):
         W.check(GroupElement("wreath", (((0, 2),), 0)))  # value = q is not reduced
+    with pytest.raises(RepresentationError):
+        W.check(GroupElement("wreath", (((0, 1), (0, 1)), 0)))  # repeated site
 
 
 def test_kind_mismatch_rejected():
@@ -133,6 +139,58 @@ def test_ball_cap_trips_past_exact_size(G):
     assert len(ball_enumerate(G, 3, cap=size)) == size
     with pytest.raises(ResourceLimitError):
         ball_enumerate(G, 3, cap=size - 1)
+
+
+def test_product_cap_counts_pairs_before_building():
+    G = parse_group("product(free:2,free:2)")
+    # sum over a+b <= 2 of |S(a)| * |S(b)| with sphere sizes 1, 4, 12
+    size = 1 + 2 * 4 + 2 * 12 + 4 * 4
+    assert len(ball_enumerate(G, 2, cap=size)) == size
+    assert len(ball_enumerate(F2, 2)) < size - 1  # both factors fit
+    for cap in (size - 1, 10):  # the second trips inside a factor ball
+        with pytest.raises(ResourceLimitError, match=re.escape(G.spec())):
+            ball_enumerate(G, 2, cap=cap)
+
+
+def _reference_ball(G, radius):
+    """Ball fields from a plain BFS with the public `mul`."""
+    gens = G.generators()
+    length = {G.identity(): 0}
+    frontier = [G.identity()]
+    for dist in range(1, radius + 1):
+        nxt = []
+        for a in frontier:
+            for s in gens:
+                b = G.mul(a, s)
+                if b not in length:
+                    length[b] = dist
+                    nxt.append(b)
+        frontier = nxt
+    elements = tuple(sorted(length, key=lambda a: serialize_element(G, a)))
+    index = {a: i for i, a in enumerate(elements)}
+    depth = [length[a] for a in elements]
+    neighbours = [[index.get(G.mul(a, s), -1) for s in gens]
+                  for a in elements]
+    return elements, depth, neighbours, index, length
+
+
+@pytest.mark.parametrize("spec", [
+    "free:2", "free:3", "lattice:1", "lattice:3", "wreath:2", "wreath:3",
+    "product(wreath:2,free:2)", "product(lattice:1,wreath:3)",
+    "product(product(free:2,lattice:1),wreath:2)",
+])
+def test_ball_matches_reference_bfs(spec):
+    G = parse_group(spec)
+    for radius in range(5):
+        ball = ball_enumerate(G, radius)
+        elements, depth, neighbours, index, length = _reference_ball(G, radius)
+        assert ball.elements == elements
+        assert ball.depth.tolist() == depth
+        assert ball.neighbours.dtype == np.int32
+        assert ball.neighbours.tolist() == neighbours
+        assert ball.index == index
+        assert ball.length == length
+        assert all(word_length(G, a) == length[a] for a in elements)
 
 
 @pytest.mark.parametrize("spec", ["free:2", "lattice:2", "wreath:2",

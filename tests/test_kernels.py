@@ -159,6 +159,11 @@ def test_harnack_constant_f2(t_f2):
     assert c == pytest.approx(3.0, abs=1e-6)
 
 
+def test_harnack_reads_depth_not_length_dict(t_f2):
+    harnack_scan(t_f2, radius=2)
+    assert "length" not in vars(shared_ball(t_f2.walk.group, 4))
+
+
 def test_harnack_needs_double_radius(t_f2):
     with pytest.raises(RangeError):
         harnack_scan(t_f2, radius=5)

@@ -160,6 +160,10 @@ def test_max_step_length():
     assert wreath_walk(2, 0.75, 0.4).max_step_length() == 1
     assert product_walk(wreath_walk(2, 0.75, 0.4),
                         srw_free(2), 0.5).max_step_length() == 1
+    W = GroupModel.wreath(2)
+    # lamps at 0 and 2: flip, two steps right, flip, two steps back
+    far = GroupElement("wreath", (((0, 1), (2, 1)), 0))
+    assert WalkSpec(W, ((far, 1.0),)).max_step_length() == 6
 
 
 def test_mean_drift():
