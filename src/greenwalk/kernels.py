@@ -1,20 +1,24 @@
 """Green kernels of transient walks, by two independent routes.
 
 The absorbing-boundary route solves (I - P) u = delta on an enumerated
-ball: the walk is killed on exit, so every value is a certified lower
-bound on the true Green function G(x,y) = sum_n mu^n(x,y).  The series
-route sums the n-step convolution powers and bounds its truncation tail
-by a calibrated geometric envelope C * rho^n with a 1.05 safety factor
-on the estimated spectral radius (heuristic, as labelled in the table
-metadata).  Tables built both ways must agree within the combined error;
-tests enforce this.
+ball: the walk is killed on exit, so every value is a lower bound on the
+true Green function G(x,y) = sum_n mu^n(x,y); its error is estimated as
+the change when the margin is halved.  The series route sums the n-step
+convolution powers and estimates its truncation tail by a calibrated
+geometric envelope C * rho^n with a 1.05 safety factor on the estimated
+spectral radius.  Neither error is a proven bound; `meta["error_kind"]`
+names which one a table holds.  Tables built both ways must agree within
+the combined error; tests enforce this.
 
+Every table is a value vector and an error vector read at one position.
 For the isotropic simple random walk on a free group both routes run on
 the distance chain instead of the full ball: transition probabilities
-depend only on the word length, so spheres can be lumped exactly, and a
-working radius of several hundred costs nothing.  This is what pushes
-Green values at depth ten past the 1e-5 barrier that a direct ball
-truncation cannot reach.
+depend only on the word length, so spheres can be lumped exactly, the
+table holds one entry per length and g is read at |g|, and a working
+radius of several hundred costs nothing.  This is what pushes Green
+values at depth ten past the 1e-5 barrier that a direct ball truncation
+cannot reach.  Every other table keeps its vectors in the order of its
+work ball and reads g at ball.index[g], for g of length <= radius.
 """
 
 from __future__ import annotations
@@ -46,6 +50,9 @@ SPSOLVE_MAX = 150_000
 RADIUS_DEFAULTS = {"free": 8, "lattice": 20, "wreath": 10, "product": 6}
 MARGIN_DEFAULTS = {"free": 6, "lattice": 60, "wreath": 8, "product": 2}
 CHAIN_EXTRA = 120
+# what a table's entry errors are, by method (meta["error_kind"])
+ERROR_KINDS = {"linear-solve": "margin-halving estimate",
+               "series": "geometric tail envelope"}
 
 
 def default_radius(walk: WalkSpec) -> int:
@@ -217,7 +224,13 @@ class RadialChainOperator:
 
 @dataclass(eq=False)
 class KernelTable:
-    """Green values G(e, g) on a ball, with per-entry error bounds.
+    """Green values G(e, g) on a ball, with per-entry error estimates.
+
+    The table is two vectors read at one position: `values[i]` is G(e, g)
+    and `errors[i]` its error, of the kind `meta["error_kind"]` names.  A
+    lumped table (`ball` is None) holds one entry per word length, so g
+    sits at |g|; a ball table is laid out like its work ball `ball`, so g
+    sits at ball.index[g].  Either way g is covered when |g| <= radius.
 
     `method` is "series" or "linear-solve".  G(x, y) for general x is
     obtained through translation invariance G(x, y) = G(e, x^{-1} y), so
@@ -232,49 +245,37 @@ class KernelTable:
     rho_certified: bool
     steps_used: int | None
     meta: dict
-    _values: dict | None = None
-    _errors: dict | None = None
-    _radial_values: np.ndarray | None = None
-    _radial_errors: np.ndarray | None = None
-    _radial_k: int | None = None
+    values: np.ndarray
+    errors: np.ndarray
+    ball: Ball | None
 
     # -- lookups ------------------------------------------------------------
 
+    def _position(self, g: GroupElement) -> int | None:
+        """Where g sits in `values` and `errors`; None past the radius."""
+        if self.ball is None:
+            d = len(g.data)  # the word length of a reduced free word
+            return d if d <= self.radius else None
+        i = self.ball.index.get(g)
+        if i is None or self.ball.depth[i] > self.radius:
+            return None
+        return i
+
+    def _read(self, vector: np.ndarray, g: GroupElement) -> float:
+        i = self._position(g)
+        if i is None:
+            raise RangeError(f"element outside table radius {self.radius}")
+        return float(vector[i])
+
     def covers(self, g: GroupElement) -> bool:
-        if self._radial_values is not None:
-            return len(g.data) <= self.radius
-        return g in self._values
+        return self._position(g) is not None
 
     def green_at(self, g: GroupElement) -> float:
         """G(e, g)."""
-        if self._radial_values is not None:
-            d = len(g.data)
-            if d > self.radius:
-                raise RangeError(
-                    f"element at distance {d} outside table radius {self.radius}"
-                )
-            return self._radial_values[d]
-        try:
-            return self._values[g]
-        except KeyError:
-            raise RangeError(
-                f"element outside table radius {self.radius}"
-            ) from None
+        return self._read(self.values, g)
 
     def entry_error(self, g: GroupElement) -> float:
-        if self._radial_errors is not None:
-            d = len(g.data)
-            if d > self.radius:
-                raise RangeError(
-                    f"element at distance {d} outside table radius {self.radius}"
-                )
-            return self._radial_errors[d]
-        try:
-            return self._errors[g]
-        except KeyError:
-            raise RangeError(
-                f"element outside table radius {self.radius}"
-            ) from None
+        return self._read(self.errors, g)
 
     @property
     def green_at_e(self) -> float:
@@ -282,7 +283,7 @@ class KernelTable:
 
     @property
     def tail(self) -> float:
-        """Largest per-entry truncation bound over the exposed ball."""
+        """Largest entry error over the exposed ball."""
         return self.meta["max_entry_error"]
 
     def green_pair(self, x: GroupElement, y: GroupElement) -> float:
@@ -329,46 +330,46 @@ def build_kernel_table(walk: WalkSpec, radius: int | None = None,
     return _build_series(walk, radius, eps, margin, cap, n_cap)
 
 
+def _table(walk: WalkSpec, radius: int, method: str, eps: float, rho: tuple,
+           steps_used: int | None, values: np.ndarray, errors: np.ndarray,
+           ball: Ball | None, **meta) -> KernelTable:
+    """The table of `values` and `errors` laid out like `ball`, or by word
+    length when `ball` is None; errors are floored at 1e-15.  `rho` is
+    (rho_hat, rho_certified) and `meta` the route's own entries."""
+    errors = np.maximum(errors, 1e-15)
+    if ball is None:
+        exposed = errors
+    else:
+        exposed = errors[ball.depth <= radius]
+        meta["ball_size"] = len(ball)
+    meta.update(lumped=ball is None, max_entry_error=float(exposed.max()),
+                error_kind=ERROR_KINDS[method])
+    return KernelTable(walk, radius, method, eps, *rho, steps_used, meta,
+                       values, errors, ball)
+
+
 def _build_radial(walk: WalkSpec, radius: int, eps: float,
                   method: str) -> KernelTable:
     k = walk.group.params[0]
     chain_radius = radius + CHAIN_EXTRA
     op = RadialChainOperator(k, chain_radius)
-    rho_hist = _rho_history(op, n_max=min(600, 2 * chain_radius - 20))
-    rho_hat, certified = _rho_from_history(rho_hist)
     sphere = np.array([op.sphere_size(d) for d in range(radius + 1)], dtype=float)
     if method == "linear-solve":
-        v_full = op.solve_green_row()
-        v_half = RadialChainOperator(k, radius + CHAIN_EXTRA // 2).solve_green_row()
-        vals = v_full[: radius + 1] / sphere
-        errs = np.abs(v_full[: radius + 1] - v_half[: radius + 1]) / sphere
-        errs = np.maximum(errs, 1e-15)
-        meta = {
-            "work_radius": chain_radius,
-            "solver": "banded",
-            "lumped": True,
-            "dropped_mass": 0.0,
-            "max_entry_error": float(errs.max()),
-            "tail_heuristic": False,
-        }
-        return KernelTable(walk, radius, method, eps, rho_hat, certified,
-                           None, meta, _radial_values=vals,
-                           _radial_errors=errs, _radial_k=k)
-    sums, tails, n_used, dropped, rho_hat2, certified2 = _series_accumulate(
+        rho = _rho_from_history(
+            _rho_history(op, n_max=min(600, 2 * chain_radius - 20)))
+        v_full = op.solve_green_row()[: radius + 1]
+        v_half = RadialChainOperator(
+            k, radius + CHAIN_EXTRA // 2).solve_green_row()[: radius + 1]
+        return _table(walk, radius, method, eps, rho, None, v_full / sphere,
+                      np.abs(v_full - v_half) / sphere, None,
+                      work_radius=chain_radius, solver="banded",
+                      dropped_mass=0.0)
+    sums, tails, n_used, dropped, *rho = _series_accumulate(
         op, np.arange(radius + 1), eps * sphere.min(), n_cap=SERIES_N_CAP
     )
-    vals = sums[: radius + 1] / sphere
-    errs = tails[: radius + 1] / sphere
-    meta = {
-        "work_radius": chain_radius,
-        "lumped": True,
-        "dropped_mass": dropped,
-        "max_entry_error": float(errs.max()),
-        "tail_heuristic": True,
-    }
-    return KernelTable(walk, radius, method, eps, rho_hat2, certified2,
-                       n_used, meta, _radial_values=vals,
-                       _radial_errors=errs, _radial_k=k)
+    return _table(walk, radius, method, eps, rho, n_used,
+                  sums[: radius + 1] / sphere, tails[: radius + 1] / sphere,
+                  None, work_radius=chain_radius, dropped_mass=dropped)
 
 
 def _build_solve(walk: WalkSpec, radius: int, eps: float, margin: int,
@@ -381,52 +382,25 @@ def _build_solve(walk: WalkSpec, radius: int, eps: float, margin: int,
     # the error estimate compares with the walk killed outside a smaller
     # ball, whose states are this ball's states of length <= its radius
     keep = ball.depth <= radius + max(1, margin // 2)
-    v_half = _absorbing_green_row(op.restricted(keep))
-    half_pos = np.cumsum(keep) - 1
-    rho_hist = _rho_history(op, n_max=min(200, 2 * (radius + margin)))
-    rho_hat, certified = _rho_from_history(rho_hist)
-    values, errors = {}, {}
-    for i in np.flatnonzero(ball.depth <= radius):
-        g = ball.elements[i]
-        values[g] = float(v_full[i])
-        diff = abs(v_full[i] - v_half[half_pos[i]])
-        errors[g] = float(max(diff, 1e-15))
-    meta = {
-        "work_radius": radius + margin,
-        "ball_size": op.size,
-        "solver": "spsolve" if op.size <= SPSOLVE_MAX else "bicgstab",
-        "lumped": False,
-        "dropped_mass": 0.0,
-        "max_entry_error": max(errors.values()),
-        "tail_heuristic": False,
-    }
-    return KernelTable(walk, radius, "linear-solve", eps, rho_hat, certified,
-                       None, meta, _values=values, _errors=errors)
+    v_half = np.zeros_like(v_full)
+    v_half[keep] = _absorbing_green_row(op.restricted(keep))
+    rho = _rho_from_history(
+        _rho_history(op, n_max=min(200, 2 * (radius + margin))))
+    return _table(walk, radius, "linear-solve", eps, rho, None, v_full,
+                  np.abs(v_full - v_half), ball, work_radius=radius + margin,
+                  solver="spsolve" if op.size <= SPSOLVE_MAX else "bicgstab",
+                  dropped_mass=0.0)
 
 
 def _build_series(walk: WalkSpec, radius: int, eps: float, margin: int,
                   cap: int, n_cap: int) -> KernelTable:
     ball = shared_ball(walk.group, radius + margin, cap)
     op = BallOperator.on_ball(walk, ball)
-    exposed = np.flatnonzero(ball.depth <= radius)
-    sums, tails, n_used, dropped, rho_hat, certified = _series_accumulate(
-        op, exposed, eps, n_cap
+    sums, tails, n_used, dropped, *rho = _series_accumulate(
+        op, np.flatnonzero(ball.depth <= radius), eps, n_cap
     )
-    values, errors = {}, {}
-    for i in exposed:
-        g = ball.elements[i]
-        values[g] = float(sums[i])
-        errors[g] = float(max(tails[i], 1e-15))
-    meta = {
-        "work_radius": radius + margin,
-        "ball_size": op.size,
-        "lumped": False,
-        "dropped_mass": dropped,
-        "max_entry_error": max(errors.values()),
-        "tail_heuristic": True,
-    }
-    return KernelTable(walk, radius, "series", eps, rho_hat, certified,
-                       n_used, meta, _values=values, _errors=errors)
+    return _table(walk, radius, "series", eps, rho, n_used, sums, tails,
+                  ball, work_radius=radius + margin, dropped_mass=dropped)
 
 
 def _absorbing_green_row(op) -> np.ndarray:

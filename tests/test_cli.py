@@ -241,23 +241,37 @@ def test_suite_stdout_is_json(capsys, monkeypatch):
 
 
 # Small valid configs, one per input path: element and approximant parsing
-# (martin), walk JSON (green), cell functions (kms), measures and grids (phi).
-# "REPORT" is replaced by a report path inside a scratch directory.
-_VALID_CONFIGS = {
-    "martin": {"walk": "srw-free:2", "radius": 3, "g": "a", "end": "end:ab",
-               "tolerance": 1e-6},
-    "green": {"walk": {"group": "free:2", "name": "srw",
-                       "steps": [{"elem": s, "p": 0.25} for s in "aAbB"]},
-              "radius": 3, "method": "linear-solve", "out": "REPORT",
-              "format": "json", "seed": 7},
-    "kms": {"walk": "srw-free:2", "radius": 3, "depth": 2, "samples": 1000,
-            "workers": 1, "beta": 1.0, "g1": "a", "f1": "a", "f2": "b"},
-    "phi": {"walk": "srw-free:2", "radius": 3, "measure": "exact",
-            "depth": 2, "power": 1, "grid": [0.0, 1.0]},
-}
+# (martin, once with an end and once with an h), walk JSON (green), cell
+# functions (kms), measures and grids (phi).  "REPORT" is replaced by a
+# report path inside a scratch directory.
+_VALID_CONFIGS = [
+    ("martin", {"walk": "srw-free:2", "radius": 3, "g": "a", "end": "end:ab",
+                "tolerance": 1e-6}),
+    ("martin", {"walk": "srw-free:2", "radius": 3, "g": "a", "h": "ab"}),
+    ("green", {"walk": {"group": "free:2", "name": "srw",
+                        "steps": [{"elem": s, "p": 0.25} for s in "aAbB"]},
+               "radius": 3, "method": "linear-solve", "out": "REPORT",
+               "format": "json", "seed": 7}),
+    ("kms", {"walk": "srw-free:2", "radius": 3, "depth": 2, "samples": 1000,
+             "workers": 1, "beta": 1.0, "g1": "a", "f1": "a", "f2": "b"}),
+    ("phi", {"walk": "srw-free:2", "radius": 3, "measure": "exact",
+             "depth": 2, "power": 1, "grid": [0.0, 1.0]}),
+]
 # deleting samples falls back to the 200,000-path default: valid, but slow
 _KEEP = {("samples",)}
 _WRONG = [None, True, 3, 2.5, "zz", [], ["a"], {}, {"x": 1}]
+# wrong values of the right type, by field name
+_MISVALUED = {
+    "walk": ["srw-free:x", "srw-free:1", "drift-z:1.5", "drift-z:0.5",
+             "wreath-walk:1,0.75,0.4", "product:0,srw-free:2,srw-free:2"],
+    "radius": [0, -1, 41],
+    "depth": [0, 9],
+    "samples": [0, 999, 10_000_001],
+    "g": ["ax", "a b", "aq"],
+    "h": ["ax", "a b"],
+    "end": ["end:ax", "bogus", "end:"],
+    "grid": [[1.0, 0.0], [0.5, 0.5]],
+}
 
 
 def _fields(cfg, path=()):
@@ -268,20 +282,28 @@ def _fields(cfg, path=()):
             yield from _fields(val, path + (key,))
 
 
-_CASES = [(command, path) for command, cfg in sorted(_VALID_CONFIGS.items())
+_CASES = [(i, path) for i, (_, cfg) in enumerate(_VALID_CONFIGS)
           for path in _fields(cfg)]
+_MISVALUED_CASES = [(i, path, value) for i, path in _CASES
+                    for value in _MISVALUED.get(path[-1], [])]
 
 
 @st.composite
 def _malformed(draw):
-    command, path = draw(st.sampled_from(_CASES))
-    cfg = copy.deepcopy(_VALID_CONFIGS[command])
+    misvalued = draw(st.booleans())
+    if misvalued:
+        i, path, value = draw(st.sampled_from(_MISVALUED_CASES))
+    else:
+        i, path = draw(st.sampled_from(_CASES))
+    command, cfg = copy.deepcopy(_VALID_CONFIGS[i])
     parent = cfg
     for key in path[:-1]:
         parent = parent[key]
-    old = parent[path[-1]]
-    wrong = [v for v in _WRONG if type(v) is not type(old)]
-    value = draw(st.sampled_from(wrong + ([] if path in _KEEP else ["DELETE"])))
+    if not misvalued:
+        old = parent[path[-1]]
+        wrong = [v for v in _WRONG if type(v) is not type(old)]
+        value = draw(st.sampled_from(
+            wrong + ([] if path in _KEEP else ["DELETE"])))
     if value == "DELETE":
         del parent[path[-1]]
     else:
@@ -289,12 +311,13 @@ def _malformed(draw):
     return command, cfg
 
 
-@settings(max_examples=150, deadline=None,
+@settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(_malformed())
 def test_malformed_config_never_tracebacks(case):
-    """One field of a small valid config gets a wrong type or goes away:
-    the CLI ends with a documented exit code, never an exception."""
+    """One field of a small valid config gets a wrong type, a wrong value
+    or goes away: the CLI ends with a documented exit code, never an
+    exception."""
     command, cfg = case
     with tempfile.TemporaryDirectory() as scratch:
         if cfg.get("out") == "REPORT":

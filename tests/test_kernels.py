@@ -79,12 +79,30 @@ def test_f2_translation_invariance(t_f2):
     assert t_f2.green_pair(a, ab) == t_f2.green_at(b)
 
 
-def test_range_error_outside_radius(t_f2):
-    far = GroupElement("free", tuple([1, 2] * 5))  # length 10 > radius 8
-    with pytest.raises(RangeError):
-        t_f2.green_at(far)
-    with pytest.raises(RangeError):
-        t_f2.entry_error(far)
+def test_range_error_outside_radius(request):
+    for name in ("t_f2", "t_drift", "t_wreath"):
+        _check_table_range(request.getfixturevalue(name))
+
+
+def _check_table_range(t):
+    G = t.walk.group
+    if t.meta["lumped"]:
+        far = [GroupElement("free", tuple([1, 2] * 5))]  # length 10 > radius 8
+    else:
+        # a ball table holds the whole work ball; only its depth gates reads
+        work = shared_ball(G, t.meta["work_radius"])
+        far = [g for g, d in zip(work.elements, work.depth) if d > t.radius]
+        assert far
+    for g in far:
+        assert not t.covers(g), g
+        with pytest.raises(RangeError):
+            t.green_at(g)
+        with pytest.raises(RangeError):
+            t.entry_error(g)
+    for g in shared_ball(G, t.radius).elements:
+        assert t.covers(g), g
+        assert type(t.green_at(g)) is float
+        assert type(t.entry_error(g)) is float
 
 
 # -- drift walk on Z ----------------------------------------------------------
@@ -111,6 +129,8 @@ def test_drift_green_values(t_drift):
 def test_drift_dual_route_agreement():
     solve = build_kernel_table(drift_z(0.7), radius=12, method="linear-solve")
     series = build_kernel_table(drift_z(0.7), radius=12, method="series")
+    assert solve.meta["error_kind"] == "margin-halving estimate"
+    assert series.meta["error_kind"] == "geometric tail envelope"
     for n in range(-12, 13):
         g = GroupElement("lattice", (n,))
         gap = abs(solve.green_at(g) - series.green_at(g))
