@@ -3,7 +3,9 @@
 Sampling is split into fixed-size blocks keyed by (seed, block); each
 block simulates its paths with NumPy array kernels and reports integer
 cell counts.  Integer aggregation is order-independent, so estimates are
-identical for any worker count and bit-identical for a fixed seed.
+identical for any worker count and bit-identical for a fixed seed.  With
+workers > 1 the blocks run on forked worker processes, at most one per
+block; one worker runs them in the calling process.
 
 Convergence bookkeeping follows the walk instead of storing full
 histories: a free walker's depth-D prefix can only change while its
@@ -16,9 +18,12 @@ window that the boundary bins can see.
 from __future__ import annotations
 
 import math
+import multiprocessing as mp
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -26,7 +31,7 @@ from .boundary import BoundaryApproximant
 from .errors import ConvergenceError, SamplingError, UnsupportedGroupError
 from .groups import GroupElement, GroupModel
 from .measures import MeasureModel
-from .rng import BLOCK_SIZE, block_bounds, block_count, block_rng
+from .rng import block_bounds, block_count, block_rng
 from .walks import WalkSpec
 
 STABLE_STEPS = 50
@@ -140,6 +145,53 @@ def _tree_end_from_path(G: GroupModel, p: PathSample,
 
 
 # -- vectorized estimators ----------------------------------------------------
+#
+# Each block kernel is `kernel(<step table>, <walk params>, n_samples,
+# horizon, seed, block)` and returns (cell counts, failures).  Steps are kept
+# time-major, shape (horizon, paths), so one step of every path reads one
+# contiguous row.  A path is retired, and skipped by the remaining steps, as
+# soon as the steps left cannot change its cell or its verdict; the free and
+# wreath `_paths` functions return the per-path state this leaves, with the
+# step at which each path stopped.
+
+RETIRE_EVERY = 8
+COUNTED_DRAWS = 32  # longest step table drawn by counting, not search
+
+
+def _draws(rng: np.random.Generator, probs: np.ndarray, shape) -> np.ndarray:
+    """The step indices `rng.choice(len(probs), size=shape, p=probs)` draws.
+
+    `choice` inverts the normalised CDF at one uniform u per draw:
+    `cdf.searchsorted(u, side="right")`, the number of CDF values <= u.
+    For a short table that count is taken directly, one comparison pass
+    per CDF value (u < 1 = cdf[-1], so the last never counts), which gives
+    the same indices as int8 in a fraction of the search's time.
+    """
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(shape)
+    if len(cdf) > COUNTED_DRAWS:
+        return cdf.searchsorted(u, side="right")
+    idx = np.zeros(shape, dtype=np.int8)
+    for c in cdf[:-1]:
+        idx += (u >= c).view(np.int8)
+    return idx
+
+
+def _time_major(table: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """table[draws] as a contiguous (horizon, paths) array."""
+    return np.ascontiguousarray(table[draws].T)
+
+
+def _row_counts(rows: np.ndarray):
+    """(distinct rows, counts) as lists, rows in lexicographic order: what
+    `np.unique(rows, axis=0, return_counts=True)` gives, from a lexsort of
+    the columns, which is much faster than its sort of structured rows."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    starts = np.flatnonzero(new)
+    return rows[starts].tolist(), np.diff(starts, append=len(rows)).tolist()
 
 
 def _free_letter_steps(w: WalkSpec):
@@ -153,38 +205,81 @@ def _free_letter_steps(w: WalkSpec):
     return np.array(letters, dtype=np.int8), np.array(probs)
 
 
-def _free_block(w: WalkSpec, depth: int, seed: int, block: int,
-                n_samples: int, horizon: int):
-    letters, probs = _free_letter_steps(w)
+def _free_paths(letters, probs, depth: int, n_samples: int, horizon: int,
+                seed: int, block: int):
+    """Per-path state of one free block: (words, length, peak, last_touch,
+    stop).
+
+    Row r's reduced word at step stop[r] is words[r, 1:length[r] + 1], and
+    peak[r] is its largest length up to then.  last_touch[r] is the last
+    step at which the length was <= depth.  A path stops early once its
+    length exceeds depth by more than the steps left and its peak exceeds
+    depth + ESCAPE_SLACK: its first depth letters, last_touch and verdict
+    are then final.
+    """
     lo, hi = block_bounds(block, n_samples)
     nb = hi - lo
-    rng = block_rng(seed, block)
-    draws = rng.choice(len(letters), size=(nb, horizon), p=probs)
-    steps = letters[draws]
-    buf = np.zeros((nb, horizon + 1), dtype=np.int8)
-    L = np.zeros(nb, dtype=np.int64)
-    rows = np.arange(nb)
-    last_touch = np.zeros(nb, dtype=np.int64)
-    peak = np.zeros(nb, dtype=np.int64)
+    steps = _time_major(letters,
+                        _draws(block_rng(seed, block), probs, (nb, horizon)))
+    # Words live in one flat int8 buffer, row r at [r * width, (r+1) * width).
+    # Column 0 holds 0, the inverse of no letter, so the empty word never
+    # cancels; `top` is the flat index of each word's last letter.
+    width = horizon + 2
+    words = np.zeros(nb * width, dtype=np.int8)
+    length = np.zeros(nb, dtype=np.intp)
+    peak = np.zeros(nb, dtype=np.intp)
+    last_touch = np.zeros(nb, dtype=np.intp)
+    stop = np.full(nb, horizon - 1, dtype=np.intp)
+    act = np.arange(nb)
+    top = act * width
+    floor = top + depth          # top <= floor: length <= depth
+    high = top.copy()            # running maximum of top
+    last = np.zeros(nb, dtype=np.intp)
+    delta = np.array([1, -1], dtype=np.intp)
+
+    def settle(sel, t):
+        rows = act[sel]
+        length[rows] = top[sel] - floor[sel] + depth
+        peak[rows] = high[sel] - floor[sel] + depth
+        last_touch[rows] = last[sel]
+        stop[rows] = t
+
     for t in range(horizon):
-        s = steps[:, t]
-        can = (L > 0) & (buf[rows, np.maximum(L - 1, 0)] == -s)
-        L = np.where(can, L - 1, L)
-        put = ~can
-        buf[rows[put], L[put]] = s[put]
-        L = np.where(put, L + 1, L)
-        np.maximum(peak, L, out=peak)
-        last_touch = np.where(L <= depth, t, last_touch)
+        s = steps[t] if len(act) == nb else steps[t, act]
+        back = words[top] + s == 0
+        # a push writes s above the top; a cancel leaves it above the new
+        # top, where the next push overwrites it before anything reads it
+        words[top + 1] = s
+        top += delta[back.view(np.uint8)]
+        np.maximum(high, top, out=high)
+        last[top <= floor] = t
+        if t % RETIRE_EVERY == RETIRE_EVERY - 1:
+            done = ((top > floor + (horizon - 1 - t))
+                    & (high > floor + ESCAPE_SLACK))
+            if done.any():
+                settle(done, t)
+                keep = ~done
+                act, top, floor, high, last = (
+                    act[keep], top[keep], floor[keep], high[keep], last[keep])
+                if not len(act):
+                    break
+    settle(slice(None), horizon - 1)
+    return words.reshape(nb, width), length, peak, last_touch, stop
+
+
+def _free_block(letters, probs, depth: int, n_samples: int, horizon: int,
+                seed: int, block: int):
+    words, length, peak, last_touch, _ = _free_paths(
+        letters, probs, depth, n_samples, horizon, seed, block)
     ok = ((peak > depth + ESCAPE_SLACK)
           & (horizon - 1 - last_touch >= STABLE_STEPS)
-          & (L > depth))
+          & (length > depth))
     counts = Counter()
-    kept = buf[ok, :depth]
+    kept = words[ok, 1:depth + 1]
     if kept.size:
-        uniq, n = np.unique(kept, axis=0, return_counts=True)
-        for row, c in zip(uniq, n):
-            counts[tuple(int(v) for v in row)] = int(c)
-    return counts, int(nb - int(ok.sum()))
+        for row, c in zip(*_row_counts(kept)):
+            counts[tuple(row)] = c
+    return counts, int(len(ok) - int(ok.sum()))
 
 
 def _wreath_case_steps(w: WalkSpec):
@@ -201,54 +296,92 @@ def _wreath_case_steps(w: WalkSpec):
     return table
 
 
-def _wreath_block(w: WalkSpec, seed: int, block: int, n_samples: int,
-                  horizon: int):
-    table = _wreath_case_steps(w)
-    q = w.group.params[0]
+def _wreath_step_arrays(table):
+    """(translation, lamp increment, probability) arrays of a step table."""
+    shift = np.array([v if k == 1 else 0 for k, v, _ in table], dtype=np.int8)
+    inc = np.array([v if k == 0 else 0 for k, v, _ in table], dtype=np.int16)
+    return shift, inc, np.array([p for _, _, p in table])
+
+
+def _wreath_paths(shift, inc, probs, q: int, n_samples: int, horizon: int,
+                  seed: int, block: int):
+    """Per-path state of one wreath block: (lamps, pos, last_touch, stop).
+
+    lamps[r] holds the lamps on [-W, W] (W = WREATH_WINDOW_STORE) and pos[r]
+    the position at step stop[r]; last_touch[r] is the last step that ended
+    in the window.  A path stops early once |pos| - (steps left) >=
+    W + 3: it can no longer reach the window, so its lamps, last_touch and
+    verdict are final.
+    """
     lo, hi = block_bounds(block, n_samples)
     nb = hi - lo
-    rng = block_rng(seed, block)
-    kinds = np.array([k for k, _, _ in table])
-    vals = np.array([v for _, v, _ in table])
-    probs = np.array([p for _, _, p in table])
-    draws = rng.choice(len(table), size=(nb, horizon), p=probs)
+    draws = _draws(block_rng(seed, block), probs, (nb, horizon))
+    shifts, incs = _time_major(shift, draws), _time_major(inc, draws)
     W = WREATH_WINDOW_STORE
-    lamps = np.zeros((nb, 2 * W + 1), dtype=np.int16)
-    pos = np.zeros(nb, dtype=np.int64)
-    rows = np.arange(nb)
-    last_touch = np.zeros(nb, dtype=np.int64)
+    # Row r's lamps are lamps[r * width: r * width + 2W + 1], window column
+    # c = pos + W; column 2W + 1 takes the increments made outside the
+    # window and is never read.  Increments are summed and reduced mod q
+    # once at the end.
+    width = 2 * W + 2
+    out = np.uint64(width - 1)
+    lamps = np.zeros(nb * width, dtype=np.int64)
+    pos = np.zeros(nb, dtype=np.intp)
+    last_touch = np.zeros(nb, dtype=np.intp)
+    stop = np.full(nb, horizon - 1, dtype=np.intp)
+    act = np.arange(nb)
+    base = act * width
+    col = np.full(nb, W, dtype=np.intp)
+    last = np.zeros(nb, dtype=np.intp)
+
+    def settle(sel, t):
+        rows = act[sel]
+        pos[rows] = col[sel] - W
+        last_touch[rows] = last[sel]
+        stop[rows] = t
+
     for t in range(horizon):
-        k = kinds[draws[:, t]]
-        v = vals[draws[:, t]]
-        toggle = (k == 0) & (np.abs(pos) <= W)
-        cols = np.clip(pos + W, 0, 2 * W)
-        lamps[rows[toggle], cols[toggle]] = (
-            lamps[rows[toggle], cols[toggle]] + v[toggle]
-        ) % q
-        move = k == 1
-        pos = np.where(move, pos + v, pos)
-        last_touch = np.where(np.abs(pos) <= W, t, last_touch)
+        full = len(act) == nb
+        d = shifts[t] if full else shifts[t, act]
+        a = incs[t] if full else incs[t, act]
+        # a negative column reads as a huge unsigned one
+        cell = base + np.minimum(col.view(np.uint64), out).view(np.intp)
+        lamps[cell] += a
+        col += d
+        last[col.view(np.uint64) <= 2 * W] = t
+        if t % RETIRE_EVERY == RETIRE_EVERY - 1:
+            done = np.abs(col - W) - (horizon - 1 - t) >= W + 3
+            if done.any():
+                settle(done, t)
+                keep = ~done
+                act, base, col, last = (act[keep], base[keep], col[keep],
+                                        last[keep])
+                if not len(act):
+                    break
+    settle(slice(None), horizon - 1)
+    lamps = (lamps.reshape(nb, width)[:, :2 * W + 1] % q).astype(np.int16)
+    return lamps, pos, last_touch, stop
+
+
+def _wreath_block(shift, inc, probs, q: int, n_samples: int, horizon: int,
+                  seed: int, block: int):
+    lamps, pos, last_touch, _ = _wreath_paths(
+        shift, inc, probs, q, n_samples, horizon, seed, block)
+    W = WREATH_WINDOW_STORE
     ok = ((np.abs(pos) >= W + 3)
           & (horizon - 1 - last_touch >= STABLE_STEPS))
     counts = Counter()
     kept = np.column_stack((np.sign(pos[ok]).astype(np.int16), lamps[ok]))
     if kept.size:
-        uniq, n = np.unique(kept, axis=0, return_counts=True)
-        for row, c in zip(uniq, n):
-            sign = "+" if row[0] > 0 else "-"
-            counts[(sign, tuple(int(v) for v in row[1:]))] = int(c)
-    return counts, int(nb - int(ok.sum()))
+        for row, c in zip(*_row_counts(kept)):
+            counts[("+" if row[0] > 0 else "-", tuple(row[1:]))] = c
+    return counts, int(len(ok) - int(ok.sum()))
 
 
-def _lattice_block(w: WalkSpec, seed: int, block: int, n_samples: int,
-                   horizon: int):
-    steps = np.array([s.data[0] for s, _ in w.steps])
-    probs = np.array([p for _, p in w.steps])
+def _lattice_block(steps, probs, n_samples: int, horizon: int, seed: int,
+                   block: int):
     lo, hi = block_bounds(block, n_samples)
     nb = hi - lo
-    rng = block_rng(seed, block)
-    draws = rng.choice(len(steps), size=(nb, horizon), p=probs)
-    incs = steps[draws]
+    incs = steps[_draws(block_rng(seed, block), probs, (nb, horizon))]
     pos = np.cumsum(incs, axis=1)
     final = pos[:, -1]
     tail = pos[:, -STABLE_STEPS:]
@@ -260,6 +393,34 @@ def _lattice_block(w: WalkSpec, seed: int, block: int, n_samples: int,
     counts["+inf"] = pos_count
     counts["-inf"] = neg_count
     return counts, int(nb - pos_count - neg_count)
+
+
+def _merge(results):
+    counts, bad = Counter(), 0
+    for c, b in results:
+        counts.update(c)
+        bad += b
+    return counts, bad
+
+
+def _run_blocks(block_fn, nblocks: int, workers: int):
+    """(merged counts, failures) of block_fn over blocks 0..nblocks-1.
+
+    workers > 1 runs the blocks on min(workers, nblocks) forked processes;
+    block_fn must pickle by reference (a module-level function or a
+    partial of one).  Counts are integers merged in block order, so the
+    result does not depend on the worker count.
+    """
+    if workers <= 1:
+        return _merge(map(block_fn, range(nblocks)))
+    try:
+        with ProcessPoolExecutor(max_workers=min(workers, nblocks),
+                                 mp_context=mp.get_context("fork")) as pool:
+            return _merge(pool.map(block_fn, range(nblocks)))
+    except BrokenProcessPool as exc:
+        raise SamplingError(f"a sampling worker process died: {exc}",
+                            report={"workers": workers,
+                                    "blocks": nblocks}) from None
 
 
 def default_horizon(G: GroupModel, depth: int) -> int:
@@ -287,37 +448,33 @@ def harmonic_measure_estimate(w: WalkSpec, depth: int, n_samples: int,
     if horizon is None:
         horizon = default_horizon(G, depth)
     if G.kind == "free":
-        if _free_letter_steps(w) is None:
+        steps = _free_letter_steps(w)
+        if steps is None:
             raise UnsupportedGroupError(
                 "fast estimator needs single-letter steps; longer supports "
                 "are out of scope"
             )
-        runner = lambda b: _free_block(w, depth, seed, b, n_samples, horizon)
+        block_fn = partial(_free_block, *steps, depth, n_samples, horizon,
+                           seed)
     elif G.kind == "wreath":
-        if _wreath_case_steps(w) is None:
+        table = _wreath_case_steps(w)
+        if table is None:
             raise UnsupportedGroupError(
                 "wreath estimator needs lamp-at-origin and unit translation "
                 "steps"
             )
-        runner = lambda b: _wreath_block(w, seed, b, n_samples, horizon)
+        block_fn = partial(_wreath_block, *_wreath_step_arrays(table),
+                           G.params[0], n_samples, horizon, seed)
     elif G.kind == "lattice" and G.params[0] == 1:
-        runner = lambda b: _lattice_block(w, seed, b, n_samples, horizon)
+        block_fn = partial(_lattice_block,
+                           np.array([s.data[0] for s, _ in w.steps]),
+                           np.array([p for _, p in w.steps]),
+                           n_samples, horizon, seed)
     else:
         raise UnsupportedGroupError(
             f"no boundary model for sampling on {G.spec()}"
         )
-    nblocks = block_count(n_samples)
-    counts = Counter()
-    bad = 0
-    if workers <= 1:
-        for c, b in map(runner, range(nblocks)):
-            counts.update(c)
-            bad += b
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for c, b in pool.map(runner, range(nblocks)):
-                counts.update(c)
-                bad += b
+    counts, bad = _run_blocks(block_fn, block_count(n_samples), workers)
     n_conv = n_samples - bad
     rate = bad / n_samples
     if rate > MAX_NONCONVERGED:
