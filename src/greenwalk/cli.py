@@ -161,7 +161,9 @@ def _estimate(w, cfg, seed, workers):
     samples = _int_in(cfg, "samples", 1000, 10_000_000, 200_000)
     horizon = cfg.get("horizon")
     if horizon is not None:
-        horizon = _int_in(cfg, "horizon", 1, 10_000_000, horizon)
+        # a block of 4,096 paths draws 4,096 * horizon doubles at once:
+        # 328 MB at the largest horizon accepted
+        horizon = _int_in(cfg, "horizon", 1, 10_000, horizon)
     return harmonic_measure_estimate(w, depth, samples, seed,
                                      workers=workers, horizon=horizon)
 

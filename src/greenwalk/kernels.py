@@ -1,14 +1,23 @@
 """Green kernels of transient walks, by two independent routes.
 
-The absorbing-boundary route solves (I - P) u = delta on an enumerated
-ball: the walk is killed on exit, so every value is a lower bound on the
-true Green function G(x,y) = sum_n mu^n(x,y); its error is estimated as
-the change when the margin is halved.  The series route sums the n-step
+The absorbing-boundary route finds the Green row of the walk killed on
+exit from an enumerated ball, so every value is a lower bound on the true
+Green function G(x,y) = sum_n mu^n(x,y); its error is estimated as the
+change when the margin is halved.  The series route sums the n-step
 convolution powers and estimates its truncation tail by a calibrated
 geometric envelope C * rho^n with a 1.05 safety factor on the estimated
 spectral radius.  Neither error is a proven bound; `meta["error_kind"]`
 names which one a table holds.  Tables built both ways must agree within
 the combined error; tests enforce this.
+
+On a ball both routes step mass by one CSR matvec with P^T.  The killed
+Green row is the fixed point of v <- delta_e + P^T v, iterated from
+v = delta_e until a sweep leaves v unchanged in floating point; every
+iterate is a partial sum of the row, hence a lower bound on it.  A ball
+gets at most one sweep per state; past that budget its row comes from a
+sparse LU solve (`spsolve`) of (I - P^T) v = delta_e.  `meta["solver"]`
+and `meta["sweeps"]` record the route of the work-ball and half-ball
+solves.
 
 Every table is a value vector and an error vector read at one position.
 For the isotropic simple random walk on a free group both routes run on
@@ -45,7 +54,6 @@ from .walks import WalkSpec, exact_steps
 RHO_SAFETY = 1.05
 RHO_GATE = 1.0 - 1e-6
 SERIES_N_CAP = 20_000
-SPSOLVE_MAX = 150_000
 
 RADIUS_DEFAULTS = {"free": 8, "lattice": 20, "wreath": 10, "product": 6}
 MARGIN_DEFAULTS = {"free": 6, "lattice": 60, "wreath": 8, "product": 2}
@@ -90,15 +98,26 @@ class BallOperator:
     """Right-convolution by the step distribution, killed outside a ball.
 
     `succ[k][i]` is the state reached from state i by steps[k], or -1 when
-    that step leaves the ball; `start` is the identity's state.
+    that step leaves the ball; `start` is the identity's state.  `step` is
+    the transposed transition matrix P^T in CSR form, so one step of a mass
+    vector is one matvec, and `exit[i]` is the mass that leaves the ball
+    from state i.
     """
 
     def __init__(self, walk: WalkSpec, succ: list, start: int):
         self.walk = walk
         self.succ = succ
         self.start = start
-        self.size = len(succ[0])
+        self.size = n = len(succ[0])
         self.probs = [p for _, p in walk.steps]
+        dest = np.concatenate(succ)
+        src = np.tile(np.arange(n), len(succ))
+        mass = np.repeat(self.probs, n)
+        inside = dest >= 0
+        self.step = scipy.sparse.csr_matrix(
+            (mass[inside], (dest[inside], src[inside])), shape=(n, n))
+        self.exit = np.bincount(src[~inside], weights=mass[~inside],
+                                minlength=n)
 
     @classmethod
     def on_ball(cls, walk: WalkSpec, ball: Ball) -> "BallOperator":
@@ -142,31 +161,8 @@ class BallOperator:
 
     def convolve(self, vec: np.ndarray):
         """One step of the killed walk; returns (new_vec, dropped_mass)."""
-        out = np.zeros_like(vec)
-        dropped = 0.0
-        for idx, p in zip(self.succ, self.probs):
-            valid = idx >= 0
-            w = vec * p
-            out += np.bincount(
-                idx[valid], weights=w[valid], minlength=self.size
-            )
-            dropped += w[~valid].sum()
-        return out, dropped
-
-    def transition_matrix(self) -> scipy.sparse.csr_matrix:
-        n = self.size
-        rows, cols, data = [], [], []
-        base = np.arange(n, dtype=np.int64)
-        for idx, p in zip(self.succ, self.probs):
-            valid = idx >= 0
-            rows.append(base[valid])
-            cols.append(idx[valid])
-            data.append(np.full(int(valid.sum()), p))
-        mat = scipy.sparse.coo_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n),
-        )
-        return mat.tocsr()
+        # a numpy sum, not a BLAS dot: threaded BLAS can take ms per call
+        return self.step @ vec, float((vec * self.exit).sum())
 
 
 class RadialChainOperator:
@@ -362,7 +358,8 @@ def _build_radial(walk: WalkSpec, radius: int, eps: float,
             k, radius + CHAIN_EXTRA // 2).solve_green_row()[: radius + 1]
         return _table(walk, radius, method, eps, rho, None, v_full / sphere,
                       np.abs(v_full - v_half) / sphere, None,
-                      work_radius=chain_radius, solver="banded",
+                      work_radius=chain_radius,
+                      solver={"work": "banded", "half": "banded"},
                       dropped_mass=0.0)
     sums, tails, n_used, dropped, *rho = _series_accumulate(
         op, np.arange(radius + 1), eps * sphere.min(), n_cap=SERIES_N_CAP
@@ -378,17 +375,19 @@ def _build_solve(walk: WalkSpec, radius: int, eps: float, margin: int,
         raise ValueError(f"linear-solve needs margin >= 1, got {margin}")
     ball = shared_ball(walk.group, radius + margin, cap)
     op = BallOperator.on_ball(walk, ball)
-    v_full = _absorbing_green_row(op)
+    v_full, work_solver, work_sweeps = _absorbing_green_row(op)
     # the error estimate compares with the walk killed outside a smaller
     # ball, whose states are this ball's states of length <= its radius
     keep = ball.depth <= radius + max(1, margin // 2)
     v_half = np.zeros_like(v_full)
-    v_half[keep] = _absorbing_green_row(op.restricted(keep))
+    v_half[keep], half_solver, half_sweeps = _absorbing_green_row(
+        op.restricted(keep))
     rho = _rho_from_history(
         _rho_history(op, n_max=min(200, 2 * (radius + margin))))
     return _table(walk, radius, "linear-solve", eps, rho, None, v_full,
                   np.abs(v_full - v_half), ball, work_radius=radius + margin,
-                  solver="spsolve" if op.size <= SPSOLVE_MAX else "bicgstab",
+                  solver={"work": work_solver, "half": half_solver},
+                  sweeps={"work": work_sweeps, "half": half_sweeps},
                   dropped_mass=0.0)
 
 
@@ -403,22 +402,21 @@ def _build_series(walk: WalkSpec, radius: int, eps: float, margin: int,
                   ball, work_radius=radius + margin, dropped_mass=dropped)
 
 
-def _absorbing_green_row(op) -> np.ndarray:
-    """Solve (I - P)^T v = delta_e: v[y] = G(e, y) for the killed walk."""
-    P = op.transition_matrix()
-    n = op.size
-    A = (scipy.sparse.identity(n, format="csr") - P).T.tocsc()
-    rhs = np.zeros(n)
-    rhs[op.start] = 1.0
-    if n <= SPSOLVE_MAX:
-        return scipy.sparse.linalg.spsolve(A, rhs)
-    sol, info = scipy.sparse.linalg.bicgstab(A, rhs, rtol=1e-13, atol=0.0,
-                                             maxiter=2000)
-    if info != 0:
-        raise PrecisionError(
-            f"iterative solve did not converge (info={info})", best_bound=float("nan")
-        )
-    return sol
+def _absorbing_green_row(op: BallOperator):
+    """(v, solver, sweeps), v[y] = G(e, y) for the walk killed outside the
+    operator's states.  The iterates are partial sums of v, so they only
+    grow, in floating point too as rounding is monotone; being bounded,
+    they stop changing after finitely many sweeps."""
+    v = op.start_vector()
+    for sweep in range(1, op.size + 1):
+        nxt = op.step @ v
+        nxt[op.start] += 1.0
+        if np.array_equal(nxt, v):
+            return v, "fixed-point", sweep
+        v = nxt
+    A = scipy.sparse.identity(op.size, format="csr") - op.step
+    return (scipy.sparse.linalg.spsolve(A.tocsc(), op.start_vector()),
+            "spsolve", op.size)
 
 
 def _series_accumulate(op, exposed_idx, eps: float, n_cap: int):

@@ -219,8 +219,9 @@ def test_suite_small(tmp_path, capsys):
         {"elem": "a"}, {"elem": "A", "p": 0.5}]}}),
     ("green", {"walk": "srw-free:x"}),
     ("green", {"walk": "{not json"}),
+    ("harmonic", {"samples": 1000, "depth": 2, "horizon": 10_000_000}),
 ], ids=["martin-end", "phi-grid", "walk-p", "martin-g-int", "martin-end-int",
-        "walk-no-p", "walk-name-arg", "walk-json-text"])
+        "walk-no-p", "walk-name-arg", "walk-json-text", "horizon-too-long"])
 def test_malformed_input_exits_usage(capsys, tmp_path, command, payload):
     cfg = write_config(tmp_path, "c.json", payload)
     assert main([command, "--config", cfg]) == 64

@@ -15,6 +15,7 @@ from greenwalk.groups import (
 from greenwalk.kernels import (
     BALL_CAP_DEFAULT,
     BallOperator,
+    _absorbing_green_row,
     _build_solve,
     build_kernel_table,
     harnack_scan,
@@ -290,17 +291,69 @@ def test_restricted_operator_equals_smaller_ball(walk):
     assert sub.probs == fresh.probs
 
 
+# (fixed-point value, sparse-LU value): the first is the table's own
+# solve; the second was recorded with every operator entry computed by
+# `mul` and the rows solved by sparse LU, and stays within 1e-14
+_AB_TABLE = {
+    "green_e": (1.2931375442094262, 1.2931375442094262),
+    "error_e": (0.0004950744945499963, 0.0004950744945497743),
+    "green_ab": (0.40289499884318386, 0.4028949988431838),
+    "error_ab": (0.0015626234957149543, 0.0015626234957147878),
+    "max_error": (0.003002560380481828, 0.0030025603804817863),
+}
+
+
 def test_non_generator_step_table_unchanged():
-    # values recorded with every operator entry computed by `mul`
     walk = _ab_walk()
     t = build_kernel_table(walk, radius=3, margin=4)
     assert t.meta["ball_size"] == 4373
     e, ab = F2.identity(), parse_element(F2, "ab")
-    assert t.green_at(e) == 1.2931375442094262
-    assert t.entry_error(e) == 0.0004950744945497743
-    assert t.green_at(ab) == 0.4028949988431838
-    assert t.entry_error(ab) == 0.0015626234957147878
-    assert t.meta["max_entry_error"] == 0.0030025603804817863
+    got = {"green_e": t.green_at(e), "error_e": t.entry_error(e),
+           "green_ab": t.green_at(ab), "error_ab": t.entry_error(ab),
+           "max_error": t.meta["max_entry_error"]}
+    for key, (now, lu) in _AB_TABLE.items():
+        assert got[key] == now, key
+        assert abs(now - lu) <= 1e-14, key
+
+
+# -- Green rows by the fixed point ------------------------------------------------
+
+
+def _battery_product():
+    return product_walk(wreath_walk(2, 0.75, 0.4), srw_free(2), 0.5)
+
+
+# the wreath half ball has 155 states and its fixed point takes 219 sweeps,
+# so that one row comes from the sparse LU fallback
+@pytest.mark.parametrize("walk, radius, margin, half_solver", [
+    (_battery_product(), 2, 2, "fixed-point"),
+    (wreath_walk(2, 0.75, 0.4), 4, 4, "spsolve"),
+    (_ab_walk(), 3, 2, "fixed-point"),
+], ids=["product", "wreath", "ab"])
+def test_green_rows_match_dense_solve(walk, radius, margin, half_solver):
+    # the work-ball and half-ball rows of a linear-solve table
+    ball = shared_ball(walk.group, radius + margin)
+    op = BallOperator.on_ball(walk, ball)
+    half = op.restricted(ball.depth <= radius + max(1, margin // 2))
+    for sub, expected in ((op, "fixed-point"), (half, half_solver)):
+        row, solver, sweeps = _absorbing_green_row(sub)
+        assert solver == expected and sweeps <= sub.size
+        dense = np.linalg.solve(np.eye(sub.size) - sub.step.toarray(),
+                                sub.start_vector())
+        assert np.abs(row - dense).max() <= 1e-13
+
+
+def test_solve_route_per_table(t_wreath, t_drift):
+    # drift-Z mixes too slowly for the fixed point to settle within one
+    # sweep per state, so it takes the sparse LU fallback
+    product = build_kernel_table(_battery_product())
+    slow = build_kernel_table(drift_z(0.51), radius=20)
+    for t, solver in ((product, "fixed-point"), (t_wreath, "fixed-point"),
+                      (t_drift, "spsolve"), (slow, "spsolve")):
+        assert t.meta["solver"] == {"work": solver, "half": solver}
+        sweeps = t.meta["sweeps"]
+        assert 0 < sweeps["half"] <= sweeps["work"] <= t.meta["ball_size"]
+    assert slow.meta["sweeps"]["work"] == slow.meta["ball_size"] == 161
 
 
 def test_solve_needs_margin():
