@@ -31,7 +31,7 @@ class BoundaryApproximant:
     kind is "tree_end", "sequence" or "spine_candidate".  For tree ends
     `prefix` is the reduced word of signed generator indices and `depth`
     its length; for the other kinds `elements` is the witness sequence
-    x_n with x_n -> infinity.  `cache` maps (table id, element) to
+    x_n with x_n -> infinity.  `cache` maps (table, element) to
     (value, error) pairs so repeated scans do not recompute limits.
     """
 
@@ -200,7 +200,7 @@ def extend_kernel(t: KernelTable, g: GroupElement, xi: BoundaryApproximant,
             )
         x = xi.elements[at_depth]
         return t.martin(g, x), _martin_error(t, g, x)
-    key = (id(t), g)
+    key = (t, g)
     hit = xi.cache.get(key)
     if hit is not None:
         return hit
@@ -447,11 +447,3 @@ def best_spine_candidate(t: KernelTable, R: int,
     best = min(scored, key=lambda r: r["maxDev"])
     return {"best": best, "all": results}
 
-
-def boundary_from_path(G: GroupModel, positions, stride: int = 1,
-                       tolerance: float = 1e-6) -> BoundaryApproximant:
-    """Sequence approximant from a sampled trajectory tail."""
-    elems = list(positions)[::stride]
-    if not elems:
-        raise ValueError("empty trajectory")
-    return BoundaryApproximant.sequence(G, elems, tolerance)

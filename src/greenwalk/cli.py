@@ -168,19 +168,25 @@ def _estimate(w, cfg, seed, workers):
                                      workers=workers, horizon=horizon)
 
 
+def _table(w, cfg, max_radius=40, method="linear-solve"):
+    """The Green table of w at the config's radius, or at the default
+    radius when the config sets none."""
+    radius = cfg.get("radius")
+    if radius is not None:
+        radius = _int_in(cfg, "radius", 1, max_radius, radius)
+    return build_kernel_table(w, radius=radius, method=method)
+
+
 # -- subcommand runners --------------------------------------------------------
 
 
 def _run_green(cfg, seed, workers, tol):
     w = _walk(cfg)
-    radius = cfg.get("radius")
-    if radius is not None:
-        radius = _int_in(cfg, "radius", 1, 40, radius)
     method = cfg.get("method", "linear-solve")
     if method not in ("linear-solve", "series"):
         raise ConfigError(f"method must be linear-solve or series, got "
                           f"{method!r}", "method")
-    t = build_kernel_table(w, radius=radius, method=method)
+    t = _table(w, cfg, method=method)
     e = w.group.identity()
     report = {
         "command": "green",
@@ -196,10 +202,7 @@ def _run_green(cfg, seed, workers, tol):
 def _run_martin(cfg, seed, workers, tol):
     w = _walk(cfg)
     G = w.group
-    radius = cfg.get("radius")
-    if radius is not None:
-        radius = _int_in(cfg, "radius", 1, 40, radius)
-    t = build_kernel_table(w, radius=radius)
+    t = _table(w, cfg)
     if "g" not in cfg:
         raise ConfigError("martin needs an element g", "g")
     g = parse_element(G, cfg["g"])
@@ -232,10 +235,7 @@ def _run_harmonic(cfg, seed, workers, tol):
 
 def _run_spine_scan(cfg, seed, workers, tol):
     w = _walk(cfg, default="drift-z:0.7")
-    radius = cfg.get("radius")
-    if radius is not None:
-        radius = _int_in(cfg, "radius", 1, 40, radius)
-    t = build_kernel_table(w, radius=radius)
+    t = _table(w, cfg)
     scan_r = _int_in(cfg, "scan_radius", 1, 10,
                      _SCAN_RADIUS_DEFAULT[w.group.kind])
     n_terms = _int_in(cfg, "n_terms", 2, 32, 8)
@@ -254,20 +254,16 @@ def _canonical_kms_rows(t, m):
         f2 = cf.CellFunction.one(G)
         for beta in (1.0, 2.0):
             res, err = cf.kms_residual(t, m, beta, f1, g, f2, G.inv(g))
-            z = res / err if err > 0 else (0.0 if res <= 1e-12
-                                           else float("inf"))
             rows.append({"g": cell_name(G, g.data), "beta": beta,
-                         "residual": res, "err": err, "z": z})
+                         "residual": res, "err": err,
+                         "z": cf.z_score(res, err)})
     return rows
 
 
 def _run_conformal(cfg, seed, workers, tol):
     w = _walk(cfg)
     G = w.group
-    radius = cfg.get("radius")
-    if radius is not None:
-        radius = _int_in(cfg, "radius", 1, 40, radius)
-    t = build_kernel_table(w, radius=radius)
+    t = _table(w, cfg)
     m = _estimate(w, cfg, seed, workers)
     scan_r = _int_in(cfg, "scan_radius", 1, 10,
                      _SCAN_RADIUS_DEFAULT[G.kind])
@@ -305,10 +301,7 @@ def _run_conformal(cfg, seed, workers, tol):
 def _run_phi(cfg, seed, workers, tol):
     w = _walk(cfg)
     G = w.group
-    radius = cfg.get("radius")
-    if radius is not None:
-        radius = _int_in(cfg, "radius", 1, 40, radius)
-    t = build_kernel_table(w, radius=radius)
+    t = _table(w, cfg)
     source = cfg.get("measure", "uniform")
     if source == "uniform":
         m = uniform_depth1_measure(G)
@@ -356,10 +349,7 @@ def _run_kms(cfg, seed, workers, tol):
     if G.kind != "free":
         raise UnsupportedGroupError(
             "the kms subcommand needs the free-boundary cell algebra")
-    radius = cfg.get("radius")
-    if radius is not None:
-        radius = _int_in(cfg, "radius", 1, 40, radius)
-    t = build_kernel_table(w, radius=radius)
+    t = _table(w, cfg)
     m = _estimate(w, cfg, seed, workers)
     beta = _float_in(cfg, "beta", -10.0, 10.0, 1.0)
     g1 = parse_element(G, cfg.get("g1", "a"))
@@ -367,7 +357,7 @@ def _run_kms(cfg, seed, workers, tol):
     f1 = _parse_cell_function(G, cfg.get("f1", "a"))
     f2 = _parse_cell_function(G, cfg.get("f2"))
     res, err = cf.kms_residual(t, m, beta, f1, g1, f2, g2)
-    z = res / err if err > 0 else (0.0 if res <= 1e-12 else float("inf"))
+    z = cf.z_score(res, err)
     report = {
         "command": "kms",
         "walk": w.name or G.spec(),
@@ -404,10 +394,7 @@ def _run_product(cfg, seed, workers, tol):
     ok = mass_gap <= 1e-12 and cert.covered
     right = G2.factors[1]
     if cfg.get("pushforward", True) and right.kind == "free":
-        radius = cfg.get("radius")
-        if radius is not None:
-            radius = _int_in(cfg, "radius", 1, 12, radius)
-        t2 = build_kernel_table(w, radius=radius)
+        t2 = _table(w, cfg, max_radius=12)
         mu1 = resolve_walk(f"srw-free:{right.params[0]}")
         t1 = build_kernel_table(mu1)
         m1 = _estimate(mu1, cfg, seed, workers)
@@ -503,7 +490,7 @@ def main(argv=None) -> int:
     try:
         cfg = _merge_config(args)
         seed, workers, tol = _common(cfg)
-        out = _runners_call(args.command, cfg, seed, workers, tol)
+        out = _RUNNERS[args.command](cfg, seed, workers, tol)
     except ConfigError as exc:
         field = f" (field: {exc.field})" if exc.field else ""
         print(f"config error: {exc}{field}", file=sys.stderr)
@@ -539,10 +526,6 @@ def main(argv=None) -> int:
     else:
         print(text, end="")
     return EXIT_OK if ok else EXIT_VERDICT
-
-
-def _runners_call(command, cfg, seed, workers, tol):
-    return _RUNNERS[command](cfg, seed, workers, tol)
 
 
 if __name__ == "__main__":

@@ -43,6 +43,7 @@ from .measures import (
     leaf_vector,
     translate_cell,
 )
+from .walks import WalkSpec
 from .walks import product_walk  # noqa: F401  (public here as well)
 
 Z_LIMIT = 3.0
@@ -241,6 +242,35 @@ def conformality_residual(t: KernelTable, m: MeasureModel, beta: float,
     rhs = in_B * kval**beta
     rhs_err = in_B * _power_err(kval, kerr, beta) + se_B * kval**beta
     return abs(lhs - rhs), math.sqrt(lhs_se**2 + rhs_err**2)
+
+
+def z_score(res: float, err: float) -> float:
+    """A residual in units of its error bar.  With a zero error bar the
+    residual is exact: 0 at rounding level (<= 1e-12), else infinite."""
+    return res / err if err > 0 else (0.0 if res <= 1e-12 else math.inf)
+
+
+def rn_identity_check(t: KernelTable, nu: MeasureModel, g: GroupElement, B):
+    """Residual and z-score of nu(g^{-1} B) = integral over B of K(g, .).
+
+    B is a cylinder word tuple on the free boundary.  The integral uses
+    exact tree kernels on subcells fine enough that K(g, .) is constant,
+    so the only stochastic error is the Monte Carlo mass error.
+    """
+    res, err = conformality_residual(t, nu, 1.0, g, B)
+    return res, z_score(res, err)
+
+
+def stationarity_residual(w: WalkSpec, m: MeasureModel, B):
+    """|sum_s mu(s) m(s^{-1}B) - m(B)| with its standard error."""
+    base, base_se = cell_pullback_mass(m, w.group.identity(), B)
+    total = 0.0
+    var = base_se**2
+    for s, p in w.steps:
+        val, se = cell_pullback_mass(m, s, B)
+        total += p * val
+        var += (p * se) ** 2
+    return abs(total - base), math.sqrt(var)
 
 
 def _bin_key_of(B):
@@ -468,8 +498,7 @@ def classify(t: KernelTable, m: MeasureModel, spine: dict | None,
                 except UnsupportedGroupError as exc:
                     blocked = str(exc)
                     break
-                z = res / err if err > 0 else (0.0 if res <= 1e-12
-                                               else math.inf)
+                z = z_score(res, err)
                 if z > worst_z:
                     worst_z, worst = z, {"g": serialize_element(G, g),
                                          "residual": res, "err": err}
@@ -773,14 +802,12 @@ def phi_map_pushforward_check(t2: KernelTable, t1: KernelTable,
     for B in cells:
         for h in G1.generators():
             res, err = conformality_residual(t1, m1, 1.0, h, B)
-            z = res / err if err > 0 else (0.0 if res <= 1e-12
-                                           else math.inf)
             conf_rows.append({
                 "cell": "Phi(C(" + cell_name(G1, B) + "))",
                 "h": serialize_element(G1, h),
                 "residual": res,
                 "err": err,
-                "z": z,
+                "z": z_score(res, err),
             })
     conf_rows.append({
         "cell": "complement of the image", "h": "(any)",

@@ -5,7 +5,11 @@ vectors), wreath products Z_q wr Z (finitely supported lamp configurations
 together with a position), and direct products of any two of these.
 
 Elements are immutable and hashable; every model fixes one canonical
-representation per element, so dict/set membership is exact.
+representation per element, so dict/set membership is exact.  Word
+lengths have a closed form for every kind (`word_length`); a `Ball` holds
+every element up to a radius with its word length and its Cayley-graph
+neighbours, and free and lattice balls are sized exactly before they are
+enumerated.
 """
 
 from __future__ import annotations
@@ -13,7 +17,8 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from math import comb
 
 import numpy as np
 
@@ -235,21 +240,6 @@ class GroupModel:
         ]
         return tuple(gens)
 
-    def word_length_hint(self, a: GroupElement) -> int | None:
-        """Exact word length when a closed form exists, else None."""
-        self.check(a)
-        if self.kind == "free":
-            return len(a.data)
-        if self.kind == "lattice":
-            return sum(abs(x) for x in a.data)
-        if self.kind == "product":
-            lh = self.factors[0].word_length_hint(a.data[0])
-            rh = self.factors[1].word_length_hint(a.data[1])
-            if lh is None or rh is None:
-                return None
-            return lh + rh
-        return None
-
 
 def _free_concat(a: tuple, b: tuple) -> tuple:
     """Concatenate two reduced words, cancelling at the junction."""
@@ -405,10 +395,9 @@ class Ball:
     """All elements of word length <= radius, in a deterministic order.
 
     elements are sorted lexicographically by their serialized canonical
-    form; `index` maps each element to its position in `elements`, and
-    `length` (built on first use) to its word length.  The arrays are
-    indexed by that position: `depth[i]` is the word length of
-    elements[i], and `neighbours`, of shape (len(ball),
+    form, and `index` maps each element to its position in `elements`.
+    The arrays are indexed by that position: `depth[i]` is the word length
+    of elements[i], and `neighbours`, of shape (len(ball),
     len(group.generators())) and dtype int32, is the ball's Cayley graph:
     entry [i, j] is the index of elements[i] * generators[j], or -1 when
     that product lies outside the ball.
@@ -422,10 +411,6 @@ class Ball:
         self.depth = depth
         self.neighbours = neighbours
         self.index = index
-
-    @cached_property
-    def length(self) -> dict:
-        return dict(zip(self.elements, self.depth.tolist()))
 
     def __len__(self):
         return len(self.elements)
@@ -447,12 +432,24 @@ def ball_enumerate(G: GroupModel, radius: int,
     `check` runs: products of canonical data are canonical, so elements
     are checked where they enter the package (parsers, constructors, the
     public `mul` and `inv`).  Raises ResourceLimitError when more than
-    `cap` elements would be produced.
+    `cap` elements would be produced: before the search on free groups and
+    lattices, whose ball sizes have closed forms, and during it on wreath
+    products.
     """
     if radius < 0:
         raise ConfigError(f"ball radius must be >= 0, got {radius}", "radius")
     if G.kind == "product":
         return _product_ball(G, radius, cap)
+    if G.kind == "free":
+        k = G.params[0]
+        size = (k * (2 * k - 1) ** radius - 1) // (k - 1)
+    elif G.kind == "lattice":
+        d = G.params[0]
+        size = sum(2**i * comb(d, i) * comb(radius, i) for i in range(d + 1))
+    else:  # wreath balls trip the cap during the search
+        size = 0
+    if size > cap:
+        raise _cap_error(G, radius, cap)
     gens = [s.data for s in G.generators()]
     mul = G._dmul
     order = [G.identity()]  # elements by BFS id
@@ -560,15 +557,24 @@ def shared_ball(G: GroupModel, radius: int, cap: int = BALL_CAP_DEFAULT) -> Ball
 
 
 def word_length(G: GroupModel, a: GroupElement) -> int:
-    """Word length of `a`: the closed form when there is one, else its
-    depth in the smallest shared ball that holds it (radius <= 64)."""
-    hint = G.word_length_hint(a)
-    if hint is not None:
-        return hint
-    for radius in range(1, 65):
-        ball = shared_ball(G, radius)
-        i = ball.index.get(a)
-        if i is not None:
-            return int(ball.depth[i])
-    raise RepresentationError(f"element {a!r} not within word length 64; "
-                              "cannot size the step support")
+    """Word length of `a` in the generators of `G`, in closed form.
+
+    Free groups: the reduced word's length; lattices: the l1 norm;
+    products: the sum of the factor lengths.  On Z_q wr Z one lamp
+    increment of any value is one generator, so |g| is the number of lit
+    lamps plus the shortest route from 0 that visits [m, M] and ends at
+    pos, where [m, M] spans 0, pos and the lit sites: (M - m) +
+    min(M - pos - m, M + pos - m) = 2(M - m) - |pos| (Cleary-Taback 2005;
+    Parry 1992).
+    """
+    G.check(a)
+    if G.kind == "free":
+        return len(a.data)
+    if G.kind == "lattice":
+        return sum(abs(x) for x in a.data)
+    if G.kind == "wreath":
+        lamps, pos = a.data
+        sites = [site for site, _ in lamps]
+        m, M = min(0, pos, *sites), max(0, pos, *sites)
+        return len(lamps) + 2 * (M - m) - abs(pos)
+    return sum(word_length(F, x) for F, x in zip(G.factors, a.data))

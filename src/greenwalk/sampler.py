@@ -1,7 +1,8 @@
-"""Path sampling, boundary convergence, and harmonic-measure estimates.
+"""Harmonic-measure estimates from sampled paths.
 
-Sampling is split into fixed-size blocks keyed by (seed, block); each
-block simulates its paths with NumPy array kernels and reports integer
+`harmonic_measure_estimate` is the one path sampler: it splits the paths
+into fixed-size blocks keyed by (seed, block); each block simulates its
+paths with a NumPy array kernel (free, wreath or Z) and reports integer
 cell counts.  Integer aggregation is order-independent, so estimates are
 identical for any worker count and bit-identical for a fixed seed.  With
 workers > 1 the blocks run on forked worker processes, at most one per
@@ -22,14 +23,12 @@ import multiprocessing as mp
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .boundary import BoundaryApproximant
-from .errors import ConvergenceError, SamplingError, UnsupportedGroupError
-from .groups import GroupElement, GroupModel
+from .errors import SamplingError, UnsupportedGroupError
+from .groups import GroupModel
 from .measures import MeasureModel
 from .rng import block_bounds, block_count, block_rng
 from .walks import WalkSpec
@@ -39,109 +38,6 @@ ESCAPE_SLACK = 20
 WREATH_WINDOW = 2
 WREATH_WINDOW_STORE = WREATH_WINDOW + 3
 MAX_NONCONVERGED = 0.01
-
-
-@dataclass(eq=False)
-class PathSample:
-    """One sampled trajectory; positions[0] is the start."""
-
-    start: GroupElement
-    positions: list
-    seed: int
-    group: GroupModel = None
-    converged: BoundaryApproximant | None = None
-
-
-def sample_path(w: WalkSpec, g: GroupElement, horizon: int, seed: int,
-                path_index: int = 0) -> PathSample:
-    """Simulate horizon steps from g; keyed by (seed, path_index)."""
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
-    G = w.group
-    G.check(g)
-    rng = block_rng(seed, path_index)
-    probs = np.array([p for _, p in w.steps])
-    support = [s for s, _ in w.steps]
-    draws = rng.choice(len(support), size=horizon, p=probs)
-    positions = [g]
-    cur = g
-    for i in draws:
-        cur = G.mul(cur, support[i])
-        positions.append(cur)
-    return PathSample(start=g, positions=positions, seed=seed, group=G)
-
-
-# -- boundary convergence -----------------------------------------------------
-
-
-def boundary_from_path(p: PathSample, depth: int) -> BoundaryApproximant:
-    """Boundary point the path converged to, known to `depth`.
-
-    Free case: the depth-letter prefix of the reduced word, required to be
-    untouched for the last STABLE_STEPS positions after the word length
-    has cleared depth + ESCAPE_SLACK.  Other groups: an escaping
-    subsequence of the trajectory tail.
-    """
-    group = p.group
-    if group is None:
-        raise ValueError("path sample carries no group model")
-    if group.kind == "free":
-        return _tree_end_from_path(group, p, depth)
-    # generic: strictly escaping subsequence of the tail
-    lengths = [_coarse_length(group, x) for x in p.positions]
-    if max(lengths) < depth + ESCAPE_SLACK:
-        raise ConvergenceError(
-            f"path never left the ball of radius {depth + ESCAPE_SLACK}",
-            achieved_depth=max(lengths), last_values=tuple(lengths[-3:]),
-        )
-    elems, best = [], -1
-    for x, ln in zip(p.positions, lengths):
-        if ln > best:
-            elems.append(x)
-            best = ln
-    tail = [x for x in elems if _coarse_length(group, x) >= 1]
-    if len(tail) < 3:
-        raise ConvergenceError(
-            "escaping subsequence too short", achieved_depth=len(tail),
-            last_values=(),
-        )
-    return BoundaryApproximant.sequence(group, tail[-8:])
-
-
-def _coarse_length(G: GroupModel, x: GroupElement) -> int:
-    hint = G.word_length_hint(x)
-    if hint is not None:
-        return hint
-    if G.kind == "wreath":
-        lamps, pos = x.data
-        return abs(pos) + len(lamps)
-    return 0
-
-
-def _tree_end_from_path(G: GroupModel, p: PathSample,
-                        depth: int) -> BoundaryApproximant:
-    words = [x.data for x in p.positions]
-    lengths = [len(w) for w in words]
-    if max(lengths) < depth + ESCAPE_SLACK:
-        raise ConvergenceError(
-            f"word length never exceeded {depth + ESCAPE_SLACK}",
-            achieved_depth=max(lengths), last_values=tuple(lengths[-3:]),
-        )
-    final = words[-1]
-    if len(final) <= depth:
-        raise ConvergenceError(
-            f"final word shorter than requested depth {depth}",
-            achieved_depth=len(final), last_values=(),
-        )
-    prefix = final[:depth]
-    window = min(STABLE_STEPS, len(words) - 1)
-    for w in words[-window:]:
-        if len(w) <= depth or w[:depth] != prefix:
-            raise ConvergenceError(
-                f"prefix still moving in the last {window} steps",
-                achieved_depth=depth, last_values=(),
-            )
-    return BoundaryApproximant.tree_end(G, prefix)
 
 
 # -- vectorized estimators ----------------------------------------------------
@@ -498,34 +394,3 @@ def harmonic_measure_estimate(w: WalkSpec, depth: int, n_samples: int,
             if G.kind == "wreath" else f"harmonic estimate, n={n_samples}")
     return MeasureModel.binned(G, masses, se, nonconverged=rate, note=note,
                                n_eff=n_conv)
-
-
-# -- identity checks on estimated measures -------------------------------------
-
-
-def rn_identity_check(t, nu: MeasureModel, g: GroupElement, B):
-    """Residual and z-score of nu(g^{-1} B) = integral over B of K(g, .).
-
-    B is a cylinder word tuple on the free boundary.  The integral uses
-    exact tree kernels on subcells fine enough that K(g, .) is constant,
-    so the only stochastic error is the Monte Carlo mass error.
-    """
-    from .conformal import conformality_residual
-
-    res, err = conformality_residual(t, nu, 1.0, g, B)
-    z = res / err if err > 0 else (0.0 if res <= 1e-12 else math.inf)
-    return res, z
-
-
-def stationarity_residual(w: WalkSpec, m: MeasureModel, B):
-    """|sum_s mu(s) m(s^{-1}B) - m(B)| with its standard error."""
-    from .conformal import cell_pullback_mass
-
-    base, base_se = cell_pullback_mass(m, w.group.identity(), B)
-    total = 0.0
-    var = base_se**2
-    for s, p in w.steps:
-        val, se = cell_pullback_mass(m, s, B)
-        total += p * val
-        var += (p * se) ** 2
-    return abs(total - base), math.sqrt(var)

@@ -18,9 +18,13 @@ SAMPLES = 1_000_000
 
 
 @pytest.fixture(scope="module")
-def battery():
-    report, meta = run_all(seed=SEED, workers=2, samples=SAMPLES)
-    return report
+def battery_run():
+    return run_all(seed=SEED, workers=2, samples=SAMPLES)
+
+
+@pytest.fixture(scope="module")
+def battery(battery_run):
+    return battery_run[0]
 
 
 def _criterion(battery, number, name):
@@ -88,6 +92,20 @@ def test_criterion_13_determinism(battery):
     assert json.dumps(single, sort_keys=True) == json.dumps(
         battery, sort_keys=True
     )
+
+
+# wall-clock limits of checks 1, 2 and 6; they read the meta, so the report
+# stays a function of (seed, samples)
+TIME_LIMITS_S = {"green-dual-route": 10.0, "martin-kernel-exactness": 30.0,
+                 "harmonic-measure": 120.0}
+
+
+def test_battery_timings_within_limits(battery_run):
+    report, meta = battery_run
+    for name, limit in TIME_LIMITS_S.items():
+        assert meta["timings_s"][name] < limit, (name, meta["timings_s"])
+    for check in report["checks"]:
+        assert "runtime_ok" not in check["detail"]
 
 
 def test_battery_is_green(battery):

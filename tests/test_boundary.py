@@ -1,3 +1,4 @@
+import copy
 import math
 from fractions import Fraction
 
@@ -7,7 +8,6 @@ from greenwalk.boundary import (
     BoundaryApproximant,
     act_on_boundary,
     best_spine_candidate,
-    boundary_from_path,
     cocycle_residual,
     extend_kernel,
     free_tree_kernel_oracle,
@@ -104,6 +104,23 @@ def test_nonconverging_sequence_raises(t_f2):
     xi = BoundaryApproximant.sequence(F2, elems, tolerance=1e-9)
     with pytest.raises(ConvergenceError):
         extend_kernel(t_f2, parse_element(F2, "a"), xi)
+
+
+def test_kernel_limit_cache_is_per_table(t_drift):
+    # a table built where a freed one lived must not read the freed
+    # table's cached limits: K(1, -inf) is q/p, 3/7 at p = 0.7, 2/3 at 0.6
+    G = t_drift.walk.group
+    xi = BoundaryApproximant.sequence(
+        G, [GroupElement("lattice", (-n,)) for n in range(1, 11)])
+    one = GroupElement("lattice", (1,))
+    t_six = build_kernel_table(drift_z(0.6), radius=20)
+    for _ in range(5):
+        t = copy.copy(t_drift)
+        assert extend_kernel(t, one, xi)[0] == pytest.approx(3 / 7, abs=1e-3)
+        del t
+        t = copy.copy(t_six)
+        assert extend_kernel(t, one, xi)[0] == pytest.approx(2 / 3, abs=1e-3)
+        del t
 
 
 # -- identities ---------------------------------------------------------------
@@ -225,9 +242,3 @@ def test_tree_end_rejects_other_groups():
     with pytest.raises(UnsupportedGroupError):
         BoundaryApproximant.tree_end(GroupModel.lattice(1), (1,))
 
-
-def test_boundary_from_path_stride():
-    G = GroupModel.lattice(1)
-    path = [GroupElement("lattice", (n,)) for n in range(10)]
-    xi = boundary_from_path(G, path, stride=3)
-    assert [x.data[0] for x in xi.elements] == [0, 3, 6, 9]

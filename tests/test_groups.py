@@ -122,10 +122,14 @@ def test_ball_nesting():
     assert small < big
 
 
+def _lengths(ball):
+    """Each ball element's word length, keyed by element."""
+    return dict(zip(ball.elements, ball.depth.tolist()))
+
+
 def test_ball_lengths_match_bfs_layers():
-    ball = ball_enumerate(F2, 4)
-    for g in ball.elements:
-        assert ball.length[g] == len(g.data)
+    for g, length in _lengths(ball_enumerate(F2, 4)).items():
+        assert length == len(g.data)
 
 
 def test_ball_cap():
@@ -133,12 +137,29 @@ def test_ball_cap():
         ball_enumerate(F2, 12, cap=1000)
 
 
-@pytest.mark.parametrize("G", [F2, W, P], ids=["free", "wreath", "product"])
+@pytest.mark.parametrize(
+    "G", [F2, GroupModel.free(3), GroupModel.lattice(2),
+          GroupModel.lattice(4), W, P],
+    ids=["free", "free:3", "lattice", "lattice:4", "wreath", "product"])
 def test_ball_cap_trips_past_exact_size(G):
     size = len(ball_enumerate(G, 3))
     assert len(ball_enumerate(G, 3, cap=size)) == size
     with pytest.raises(ResourceLimitError):
         ball_enumerate(G, 3, cap=size - 1)
+
+
+@pytest.mark.parametrize("G, radius", [
+    (F2, 14), (GroupModel.free(3), 10), (GroupModel.lattice(3), 200),
+    (GroupModel.lattice(6), 30),
+], ids=["free:2", "free:3", "lattice:3", "lattice:6"])
+def test_free_and_lattice_cap_trips_before_enumerating(G, radius,
+                                                       monkeypatch):
+    def no_multiply(self, a, b):
+        raise AssertionError("ball search ran past the cap")
+
+    monkeypatch.setattr(GroupModel, "_dmul", no_multiply)
+    with pytest.raises(ResourceLimitError, match=re.escape(G.spec())):
+        ball_enumerate(G, radius)
 
 
 def test_product_cap_counts_pairs_before_building():
@@ -189,8 +210,23 @@ def test_ball_matches_reference_bfs(spec):
         assert ball.neighbours.dtype == np.int32
         assert ball.neighbours.tolist() == neighbours
         assert ball.index == index
-        assert ball.length == length
+        assert _lengths(ball) == length
         assert all(word_length(G, a) == length[a] for a in elements)
+
+
+@pytest.mark.parametrize("spec, radius", [
+    ("wreath:2", 12), ("wreath:3", 8), ("product(wreath:2,free:2)", 6),
+])
+def test_word_length_is_ball_depth(spec, radius):
+    G = parse_group(spec)
+    ball = ball_enumerate(G, radius)
+    assert [word_length(G, a) for a in ball.elements] == ball.depth.tolist()
+
+
+def test_word_length_past_any_ball():
+    g = parse_element(W, "{-300:1,500:1}@200")
+    # 2 lamps + the route 0 -> -300 -> 500 -> 200
+    assert word_length(W, g) == 2 + 300 + 800 + 300
 
 
 @pytest.mark.parametrize("spec", ["free:2", "lattice:2", "wreath:2",

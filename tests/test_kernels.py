@@ -283,7 +283,7 @@ def test_product_hold_step_stays_put():
 ], ids=["wreath", "product-hold", "ab"])
 def test_restricted_operator_equals_smaller_ball(walk):
     big = ball_enumerate(walk.group, 4)
-    keep = np.array([big.length[g] <= 2 for g in big.elements])
+    keep = big.depth <= 2
     sub = BallOperator.on_ball(walk, big).restricted(keep)
     fresh = BallOperator.on_ball(walk, ball_enumerate(walk.group, 2))
     assert (sub.size, sub.start) == (fresh.size, fresh.start)

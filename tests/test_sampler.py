@@ -7,6 +7,7 @@ import pytest
 
 from greenwalk import sampler
 from greenwalk.cli import main
+from greenwalk.conformal import rn_identity_check, stationarity_residual
 from greenwalk.errors import SamplingError, UnsupportedGroupError
 from greenwalk.groups import GroupElement, GroupModel, parse_element
 from greenwalk.rng import block_rng
@@ -14,11 +15,7 @@ from greenwalk.sampler import (
     ESCAPE_SLACK,
     STABLE_STEPS,
     WREATH_WINDOW_STORE,
-    boundary_from_path,
     harmonic_measure_estimate,
-    rn_identity_check,
-    sample_path,
-    stationarity_residual,
 )
 from greenwalk.walks import drift_z, make_walk, srw_free, wreath_walk
 
@@ -257,28 +254,3 @@ def test_rn_identity_exact_is_zero(t_f2, m_exact):
     res, z = rn_identity_check(t_f2, m_exact, parse_element(F2, "a"), (1,))
     assert res < 1e-12 and z == 0.0
 
-
-def test_sample_path_shape():
-    p = sample_path(srw_free(2), F2.identity(), horizon=50, seed=9)
-    assert len(p.positions) == 51
-    assert p.positions[0] == F2.identity()
-    # consecutive positions differ by one generator
-    for x, y in zip(p.positions, p.positions[1:]):
-        assert len(F2.mul(F2.inv(x), y).data) == 1
-    again = sample_path(srw_free(2), F2.identity(), horizon=50, seed=9)
-    assert again.positions == p.positions
-
-
-def test_boundary_from_path_free():
-    p = sample_path(srw_free(2), F2.identity(), horizon=400, seed=21)
-    xi = boundary_from_path(p, depth=3)
-    assert xi.kind == "tree_end" and len(xi.prefix) == 3
-
-
-def test_boundary_from_path_drift():
-    p = sample_path(drift_z(0.7), GroupModel.lattice(1).identity(),
-                    horizon=300, seed=2)
-    xi = boundary_from_path(p, depth=5)
-    assert xi.kind == "sequence"
-    vals = [x.data[0] for x in xi.elements]
-    assert vals == sorted(vals) and vals[-1] > 5
