@@ -6,7 +6,9 @@ functionals of the estimated cell masses: the left side through the
 cylinder translation algebra, the right side through kernels that are
 exactly constant on cells at least as deep as |g|.  Residuals therefore
 come with honest standard errors, and the beta = 0 alternative reduces
-to an exact rational feasibility problem.
+to an exact rational feasibility problem, solved by fraction-free
+(integer-preserving) elimination on sparse integer rows, which gives the
+same certificate as elimination in fractions.
 
 The product construction couples two walks so that steps move one factor
 at a time; boundary points of a factor push forward to the product
@@ -540,10 +542,13 @@ def invariant_measure_feasibility(G: GroupModel, depth: int) -> dict:
     """Can a boundary measure be invariant under the whole group?
 
     Free case: sets up m(g * C) = m(C) for generators g over cylinders of
-    depth <= `depth`, expressed in the depth-`depth` cell masses, and
-    eliminates in exact rational arithmetic.  An infeasibility certificate
-    is a rational combination of constraints reducing to 0 = 1.  Lattice
-    case: translations fix both ends, so every measure is invariant.
+    depth <= `depth`, expressed in the depth-`depth` cell masses, as
+    sparse integer rows, and eliminates them fraction-free: integer rows
+    that stay proportional to those of Gauss-Jordan over Q, so the answer
+    is the one exact rational elimination gives.  An infeasibility
+    certificate is a rational combination of constraints reducing to
+    0 = 1.  Lattice case: translations fix both ends, so every measure is
+    invariant.
 
     The answer depends on (group, depth) only, so it is computed once per
     process; each call gets its own deep copy to keep or change.
@@ -566,30 +571,37 @@ def _feasibility(G: GroupModel, depth: int) -> dict:
         )
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    nvar = len(all_cells(G, depth))
-    rows, rhs, labels = [], [], []
-    rows.append([Fraction(1)] * nvar)
-    rhs.append(Fraction(1))
-    labels.append("total mass = 1")
+    ranges = leaf_ranges(G, depth)
+    nvar = ranges[()][1]
+    rows, labels = [], []
+
+    def add(terms, rhs: int, label: str):
+        row = {}
+        for w, c in terms:
+            lo, hi = ranges.get(w, (0, 0))
+            for i in range(lo, hi):
+                row[i] = row.get(i, 0) + c
+        row = {i: c for i, c in row.items() if c}
+        if row:
+            if rhs:
+                row[nvar] = rhs
+            row[nvar + 1 + len(rows)] = 1
+            rows.append(row)
+            labels.append(label)
+
+    add([((), 1)], 1, "total mass = 1")
     skipped = 0
-    gens = G.generators()
-    for g in gens:
+    for g in G.generators():
         for d in range(0, depth + 1):
             for v in all_cells(G, d):
                 pieces = translate_cell(G, g, v)
                 if any(len(p) > depth for p in pieces):
                     skipped += 1
                     continue
-                terms = [(p, 1) for p in pieces] + [(v, -1)]
-                row = [Fraction(x) for x in leaf_vector(G, depth, terms)]
-                if any(row):
-                    rows.append(row)
-                    rhs.append(Fraction(0))
-                    labels.append(
-                        f"{serialize_element(G, g)}*C({cell_name(G, v)}) "
-                        f"= C({cell_name(G, v)})"
-                    )
-    result = _rational_solve(rows, rhs, labels)
+                add([(p, 1) for p in pieces] + [(v, -1)], 0,
+                    f"{serialize_element(G, g)}*C({cell_name(G, v)}) "
+                    f"= C({cell_name(G, v)})")
+    result = _rational_solve(rows, nvar, labels)
     result["depth"] = depth
     result["skipped_constraints"] = skipped
     if result["feasible"] and "solution" in result:
@@ -602,40 +614,47 @@ def _feasibility(G: GroupModel, depth: int) -> dict:
     return result
 
 
-def _rational_solve(rows, rhs, labels) -> dict:
-    """Gauss-Jordan over Q with multiplier tracking.
+def _rational_solve(rows, nvar: int, labels) -> dict:
+    """Gauss-Jordan over Q with multiplier tracking, fraction-free.
+
+    Row i is a sparse integer dict {column: value} with no zero entries:
+    columns below `nvar` are the unknowns, column `nvar` the right-hand
+    side and column nvar + 1 + i the multiplier of constraint i, entry 1.
+    The pivot is the first row at or below the current one with a nonzero
+    in the column, and every other row becomes (pv * row - f * pivot row)
+    divided by the gcd of its entries (integer-preserving elimination,
+    Bareiss 1968), so each row stays a nonzero multiple of the row that
+    Gauss-Jordan in `Fraction`s would hold and the ratios read off at the
+    end are the same.
 
     Returns feasible + a pivot solution, or an infeasibility certificate:
     rational multipliers lambda with sum(lambda_i * row_i) = 0 while
-    sum(lambda_i * rhs_i) != 0.
+    sum(lambda_i * rhs_i) != 0, in constraint order.
     """
+    rows = list(rows)  # the dicts themselves are never changed
     n = len(rows)
-    mvar = len(rows[0])
-    aug = [list(rows[i]) + [Fraction(1) if j == i else Fraction(0)
-                            for j in range(n)] + [rhs[i]]
-           for i in range(n)]
     piv_cols = []
     r = 0
-    for col in range(mvar):
-        sel = next((i for i in range(r, n) if aug[i][col] != 0), None)
+    for col in range(nvar):
+        sel = next((i for i in range(r, n) if col in rows[i]), None)
         if sel is None:
             continue
-        aug[r], aug[sel] = aug[sel], aug[r]
-        pv = aug[r][col]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        rows[r], rows[sel] = rows[sel], rows[r]
+        prow = rows[r]
+        pv = prow[col]
+        for i, row in enumerate(rows):
+            f = row.get(col)
+            if f and i != r:
+                rows[i] = _eliminate(row, prow, pv, f)
         piv_cols.append(col)
         r += 1
         if r == n:
             break
-    for i in range(r, n):
-        if aug[i][-1] != 0:
-            scale = aug[i][-1]
-            mult = {labels[j]: str(aug[i][mvar + j] / scale)
-                    for j in range(n) if aug[i][mvar + j] != 0}
+    for row in rows[r:]:
+        scale = row.get(nvar)
+        if scale:
+            mult = {labels[c - nvar - 1]: str(Fraction(x, scale))
+                    for c, x in sorted(row.items()) if c > nvar}
             return {
                 "feasible": False,
                 "certificate": {
@@ -644,9 +663,28 @@ def _rational_solve(rows, rhs, labels) -> dict:
                                  "reduces to 0 = 1",
                 },
             }
-    solution = dict.fromkeys(range(mvar), Fraction(0))
-    solution.update((col, aug[i][-1]) for i, col in enumerate(piv_cols))
+    solution = dict.fromkeys(range(nvar), Fraction(0))
+    solution.update((col, Fraction(rows[i].get(nvar, 0), rows[i][col]))
+                    for i, col in enumerate(piv_cols))
     return {"feasible": True, "solution": solution}
+
+
+def _eliminate(row: dict, prow: dict, pv: int, f: int) -> dict:
+    """(pv * row - f * prow) / gcd: zero in the pivot column, no zero
+    entries, integer entries with no common factor."""
+    g = math.gcd(pv, f)
+    a, b = pv // g, f // g
+    out = {c: a * x for c, x in row.items()}
+    for c, y in prow.items():
+        x = out.get(c, 0) - b * y
+        if x:
+            out[c] = x
+        else:
+            del out[c]
+    g = math.gcd(*out.values())
+    if g > 1:
+        out = {c: x // g for c, x in out.items()}
+    return out
 
 
 # -- KMS words ---------------------------------------------------------------------

@@ -8,8 +8,7 @@ Elements are immutable and hashable; every model fixes one canonical
 representation per element, so dict/set membership is exact.  Word
 lengths have a closed form for every kind (`word_length`); a `Ball` holds
 every element up to a radius with its word length and its Cayley-graph
-neighbours, and free and lattice balls are sized exactly before they are
-enumerated.
+neighbours, and every ball is sized exactly before it is enumerated.
 """
 
 from __future__ import annotations
@@ -432,9 +431,8 @@ def ball_enumerate(G: GroupModel, radius: int,
     `check` runs: products of canonical data are canonical, so elements
     are checked where they enter the package (parsers, constructors, the
     public `mul` and `inv`).  Raises ResourceLimitError when more than
-    `cap` elements would be produced: before the search on free groups and
-    lattices, whose ball sizes have closed forms, and during it on wreath
-    products.
+    `cap` elements would be produced, from the ball's exact size and
+    before the search.
     """
     if radius < 0:
         raise ConfigError(f"ball radius must be >= 0, got {radius}", "radius")
@@ -446,8 +444,8 @@ def ball_enumerate(G: GroupModel, radius: int,
     elif G.kind == "lattice":
         d = G.params[0]
         size = sum(2**i * comb(d, i) * comb(radius, i) for i in range(d + 1))
-    else:  # wreath balls trip the cap during the search
-        size = 0
+    else:
+        size = _wreath_ball_size(G.params[0], radius)
     if size > cap:
         raise _cap_error(G, radius, cap)
     gens = [s.data for s in G.generators()]
@@ -468,8 +466,6 @@ def ball_enumerate(G: GroupModel, radius: int,
                 j = ids.get(b, -1)
                 if j < 0 and grow:
                     j = len(order)
-                    if j >= cap:
-                        raise _cap_error(G, radius, cap)
                     ids[b] = j
                     order.append(GroupElement(G.kind, b))
                 nbr.append(j)
@@ -480,6 +476,28 @@ def ball_enumerate(G: GroupModel, radius: int,
     table = np.frombuffer(nbr, dtype=np.int32).reshape(n, len(gens))
     return _sorted_ball(G, radius, [_serialize(G, a) for a in order],
                         order.__getitem__, depth, table)
+
+
+def _wreath_ball_size(q: int, radius: int) -> int:
+    """|B(radius)| on Z_q wr Z, counted from the word length L + 2w - d of
+    `word_length`: L lit lamps, a span [m, M] of width w = M - m around 0
+    and pos, and d = |pos|.  Such a span reaches a sites below min(0, pos)
+    and w - d - a above max(0, pos); an end that reaches past them must be
+    a lit site (forced), the other sites of the span are free, and each
+    lit lamp takes one of q - 1 values.
+    """
+    size = 0
+    for w in range(radius + 1):
+        for d in range(w + 1):
+            most = min(radius - 2 * w + d, w + 1)  # lit lamps
+            extra = w - d
+            ends = {0: 1} if extra == 0 else {1: 2, 2: extra - 1}
+            for forced, spans in ends.items():
+                free = w + 1 - forced
+                lamps = sum(comb(free, L - forced) * (q - 1) ** L
+                            for L in range(forced, most + 1))
+                size += (2 if d else 1) * spans * lamps
+    return size
 
 
 def _product_ball(G: GroupModel, radius: int, cap: int) -> Ball:

@@ -37,9 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import (
     PrecisionError,
@@ -212,6 +210,7 @@ class RadialChainOperator:
         ab[2, :-1] = sub
         rhs = np.zeros(n)
         rhs[0] = 1.0
+        import scipy.linalg  # here, so `import greenwalk` does not load it
         return scipy.linalg.solve_banded((1, 1), ab, rhs)
 
 
@@ -414,6 +413,7 @@ def _absorbing_green_row(op: BallOperator):
         if np.array_equal(nxt, v):
             return v, "fixed-point", sweep
         v = nxt
+    import scipy.sparse.linalg  # here, so `import greenwalk` does not load it
     A = scipy.sparse.identity(op.size, format="csr") - op.step
     return (scipy.sparse.linalg.spsolve(A.tocsc(), op.start_vector()),
             "spsolve", op.size)

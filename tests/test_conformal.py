@@ -31,6 +31,7 @@ from greenwalk.measures import (
 from greenwalk.walks import product_walk, srw_free, wreath_walk
 
 F2 = GroupModel.free(2)
+F3 = GroupModel.free(3)
 Z = GroupModel.lattice(1)
 
 
@@ -236,14 +237,17 @@ def test_feasibility_infeasible_with_certificate(depth):
         assert isinstance(label, str)
 
 
-def test_feasibility_certificate_recombines():
+@pytest.mark.parametrize("G, depth", [
+    (F2, 1), (F2, 2), (F2, 3), (F2, 4), (F3, 1), (F3, 2),
+], ids=["free:2-d1", "free:2-d2", "free:2-d3", "free:2-d4", "free:3-d1",
+        "free:3-d2"])
+def test_feasibility_certificate_recombines(G, depth):
     """Replay the certificate: the multipliers really produce 0 = 1."""
-    from greenwalk.measures import cell_contains, cell_name, translate_cell
+    from greenwalk.measures import cell_contains, translate_cell
 
-    depth = 1
-    out = invariant_measure_feasibility(F2, depth)
+    out = invariant_measure_feasibility(G, depth)
     mult = out["certificate"]["multipliers"]
-    leaves = all_cells(F2, depth)
+    leaves = all_cells(G, depth)
 
     def constraint_row(label):
         if label == "total mass = 1":
@@ -251,10 +255,10 @@ def test_feasibility_certificate_recombines():
         # label format: "g*C(v) = C(v)"
         gname, _, rest = label.partition("*C(")
         vname = rest[: rest.index(")")]
-        g = parse_element(F2, gname)
-        v = () if vname == "e" else parse_element(F2, vname).data
+        g = parse_element(G, gname)
+        v = () if vname == "e" else parse_element(G, vname).data
         row = [Fraction(0)] * len(leaves)
-        for piece in translate_cell(F2, g, v):
+        for piece in translate_cell(G, g, v):
             for i, leaf in enumerate(leaves):
                 if cell_contains(tuple(piece), leaf):
                     row[i] += 1

@@ -9,6 +9,7 @@ from greenwalk.errors import ConfigError, RepresentationError, ResourceLimitErro
 from greenwalk.groups import (
     GroupElement,
     GroupModel,
+    _wreath_ball_size,
     ball_enumerate,
     parse_element,
     parse_group,
@@ -150,16 +151,26 @@ def test_ball_cap_trips_past_exact_size(G):
 
 @pytest.mark.parametrize("G, radius", [
     (F2, 14), (GroupModel.free(3), 10), (GroupModel.lattice(3), 200),
-    (GroupModel.lattice(6), 30),
-], ids=["free:2", "free:3", "lattice:3", "lattice:6"])
+    (GroupModel.lattice(6), 30), (W, 30), (GroupModel.wreath(3), 20),
+], ids=["free:2", "free:3", "lattice:3", "lattice:6", "wreath:2",
+        "wreath:3"])
 def test_free_and_lattice_cap_trips_before_enumerating(G, radius,
                                                        monkeypatch):
+    """Every kind, wreath products included (wreath:2 at radius 30 has
+    29,569,464 elements), is sized exactly before the first multiply."""
     def no_multiply(self, a, b):
         raise AssertionError("ball search ran past the cap")
 
     monkeypatch.setattr(GroupModel, "_dmul", no_multiply)
     with pytest.raises(ResourceLimitError, match=re.escape(G.spec())):
         ball_enumerate(G, radius)
+
+
+@pytest.mark.parametrize("q, radius", [(2, 12), (3, 8)])
+def test_wreath_ball_size_matches_enumeration(q, radius):
+    G = GroupModel.wreath(q)
+    for r in range(radius + 1):
+        assert _wreath_ball_size(q, r) == len(ball_enumerate(G, r))
 
 
 def test_product_cap_counts_pairs_before_building():

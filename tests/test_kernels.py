@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import greenwalk
 from greenwalk.errors import RangeError, TransienceError
 from greenwalk.groups import (
     GroupElement,
@@ -390,3 +395,15 @@ def test_entry_error_covers_drift_z_closed_form(t_drift):
         n = g.data[0]
         exact = (1 if n >= 0 else ((1 - p) / p) ** -n) / (2 * p - 1)
         assert abs(t_drift.green_at(g) - exact) <= t_drift.entry_error(g), g
+
+
+def test_import_leaves_scipy_solvers_unloaded():
+    """The banded and sparse LU solvers are imported where they are used,
+    so importing the package does not load them."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(greenwalk.__file__).resolve().parents[1]))
+    code = ("import sys, greenwalk; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.linalg', 'scipy.sparse.linalg'))))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
