@@ -306,17 +306,6 @@ def harmonicity_residual(t: KernelTable, g: GroupElement,
     return abs(total - base)
 
 
-def kernel_bounds_residual(t: KernelTable, g: GroupElement,
-                           xi: BoundaryApproximant,
-                           at_depth: int | None = None) -> float:
-    """How far K(g, xi) pokes outside [G(g,e)/G(e,e), G(e,e)/G(e,g)]."""
-    G = t.walk.group
-    val, err = extend_kernel(t, g, xi, at_depth=at_depth)
-    lower = t.green_at(G.inv(g)) / t.green_at_e
-    upper = t.green_at_e / t.green_at(g)
-    return max(0.0, lower - val - err, val - upper - err)
-
-
 # -- spine detection ----------------------------------------------------------
 
 

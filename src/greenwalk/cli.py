@@ -315,10 +315,12 @@ def _run_phi(cfg, seed, workers, tol):
             "measure")
     n = _int_in(cfg, "power", 1, 8, 1)
     grid = cfg.get("grid")
+    # a grid point must be a finite float: no NaN, no infinity, no int
+    # past the float range
     if grid is not None and (
             not isinstance(grid, list) or len(grid) < 2
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                       for x in grid)
+                       and abs(x) <= sys.float_info.max for x in grid)
             or any(b <= a for a, b in zip(grid, grid[1:]))):
         raise ConfigError("grid must be a strictly increasing list of at "
                           "least two numbers", "grid")
@@ -442,8 +444,6 @@ def _json_safe(obj):
         return [_json_safe(v) for v in obj]
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
     return obj
 
 

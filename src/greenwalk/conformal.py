@@ -12,9 +12,10 @@ same certificate as elimination in fractions.
 
 The product construction couples two walks so that steps move one factor
 at a time; boundary points of a factor push forward to the product
-boundary, where their Martin kernels are, operationally, given by the
-factor kernels.  Checks compare that definition against finite product
-kernels and run the usual conformality battery on the pushforward.
+boundary.  The pushforward check gives an image point the factor kernel.
+That is not the product's Martin kernel: finite product kernels converge
+to phi_0(g) * F(z_1)^(|h| - 2 cut) (Picardello and Woess 1994), so the
+check's identity rows are not expected to vanish (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .measures import (
     translate_cell,
 )
 from .walks import WalkSpec
-from .walks import product_walk  # noqa: F401  (public here as well)
 
 Z_LIMIT = 3.0
 BETA_GRID = (-1.0, 0.0, 0.5, 1.0, 2.0)
@@ -101,10 +101,8 @@ class CellFunction:
 
     def integrate(self, m: MeasureModel):
         """(integral, standard error) against a cylinder measure."""
-        if m.kind == "dirac":
-            val = sum(c for w, c in self.coeffs.items()
-                      if m.cell_mass(w) == 1.0)
-            return val, 0.0
+        if m.kind != "cylinder":
+            raise UnsupportedGroupError("cell integrals need a cylinder measure")
         if self.depth > m.depth:
             raise PartitionError(
                 f"measure depth {m.depth} below function depth {self.depth}",
@@ -159,7 +157,7 @@ def kernel_on_cell(t: KernelTable, g: GroupElement, cell: tuple) -> float:
 def cell_pullback_mass(m: MeasureModel, g: GroupElement, B):
     """(m(g^{-1}B), standard error) for any supported boundary model."""
     G = m.group
-    if m.kind == "cylinder" or (m.kind == "dirac" and isinstance(m.atom, tuple)):
+    if m.kind == "cylinder":
         cells = translate_cell(G, G.inv(g), tuple(B))
         return m.set_mass(cells), m.set_se(cells)
     if m.kind == "dirac":
@@ -332,26 +330,21 @@ def _linear_form(coeff, masses, ses, n_eff: int):
 
 
 def _leaves(m: MeasureModel, depth: int):
-    """(masses, standard errors) of m on the depth-`depth` leaves."""
-    if m.kind == "cylinder":
-        if depth > m.depth:
-            raise PartitionError(
-                f"cell at depth {depth} finer than measure depth "
-                f"{m.depth}; re-estimate deeper",
-                suggested_depth=depth,
-            )
-        return m.leaf_mass, m.leaf_se
-    cells = all_cells(m.group, depth)
-    return [m.cell_mass(c) for c in cells], [m.cell_se(c) for c in cells]
+    """(masses, standard errors) of a cylinder measure m on its leaves,
+    which must resolve cells of depth `depth`."""
+    if depth > m.depth:
+        raise PartitionError(
+            f"cell at depth {depth} finer than measure depth "
+            f"{m.depth}; re-estimate deeper",
+            suggested_depth=depth,
+        )
+    return m.leaf_mass, m.leaf_se
 
 
 def _dirac_residual(t: KernelTable, m: MeasureModel, beta: float,
                     g: GroupElement, B):
+    """Residual at a labelled atom, which sits at a group-fixed point."""
     in_B = m.cell_mass(B)
-    if isinstance(m.atom, tuple):
-        lhs, _ = cell_pullback_mass(m, g, B)
-        return abs(lhs - in_B * kernel_on_cell(t, g, m.atom) ** beta), 0.0
-    # group-fixed labelled atom
     if m.xi is not None:
         kval, kerr = extend_kernel(t, g, m.xi)
     else:
@@ -364,7 +357,7 @@ def normalization_check(t: KernelTable, m: MeasureModel, beta: float,
                         g: GroupElement):
     """(integral of K(g^{-1}, .)^beta dm, error); 1 for conformal m."""
     ginv = m.group.inv(g)
-    if m.kind == "dirac" and not isinstance(m.atom, tuple):
+    if m.kind == "dirac":
         kval, kerr = ((1.0, m.atom_kernel_dev) if m.xi is None
                       else extend_kernel(t, ginv, m.xi))
         return kval**beta, _power_err(kval, kerr, beta)
@@ -373,8 +366,7 @@ def normalization_check(t: KernelTable, m: MeasureModel, beta: float,
             "normalization over binned boundaries needs per-bin kernels; "
             "use conformality_residual with bin_kernels instead"
         )
-    depth = max(m.depth if m.kind == "cylinder" else len(m.atom),
-                len(ginv.data))
+    depth = max(m.depth, len(ginv.data))
     return _linear_form(kernel_leaves(t, ginv, depth, beta), *_leaves(m, depth), 0)
 
 
@@ -419,7 +411,7 @@ def phi_curve(t: KernelTable, m: MeasureModel, n: int = 1,
         raise PartitionError(
             f"n-step support dropped mass {dropped}", suggested_depth=reach
         )
-    if m.kind == "dirac" and not isinstance(m.atom, tuple):
+    if m.kind == "dirac":
         values = [sum(dist.values())] * len(grid)
         errors = [sum(p * _power_err(1.0, m.atom_kernel_dev, tv)
                       for p in dist.values()) for tv in grid]
@@ -427,7 +419,7 @@ def phi_curve(t: KernelTable, m: MeasureModel, n: int = 1,
     if m.kind == "binned":
         raise UnsupportedGroupError("phi_curve needs a cylinder boundary")
     # a cylinder measure shallower than the n-step reach refuses in _leaves
-    depth = max(m.depth if m.kind == "cylinder" else len(m.atom), reach)
+    depth = max(m.depth, reach)
     masses, ses = _leaves(m, depth)
     values, errors = [], []
     for tv in grid:
@@ -530,7 +522,7 @@ def classify(t: KernelTable, m: MeasureModel, spine: dict | None,
 def _default_cells(m: MeasureModel):
     if m.kind == "binned":
         return list(m.masses)
-    if m.kind == "cylinder" or isinstance(m.atom, tuple):
+    if m.kind == "cylinder":
         return all_cells(m.group, 1)
     return [m.atom]
 
@@ -690,35 +682,6 @@ def _eliminate(row: dict, prow: dict, pv: int, f: int) -> dict:
 # -- KMS words ---------------------------------------------------------------------
 
 
-@dataclass(eq=False)
-class KmsWord:
-    """Formal product of (function, group element) factors."""
-
-    factors: list
-
-    def reduce(self):
-        """Collapse to a single (function, group element) pair."""
-        if not self.factors:
-            return None, None
-        f, g = self.factors[0]
-        G = f.G
-        for h, k in self.factors[1:]:
-            f = f * h.compose_shift(g)
-            g = G.mul(g, k)
-        return f, g
-
-
-def kms_word_eval(m: MeasureModel, w: KmsWord) -> complex:
-    """State value: reduce the word, integrate if the group part is e."""
-    f, g = w.reduce()
-    if f is None:
-        return complex(1.0)
-    if g != f.G.identity():
-        return complex(0.0)
-    val, _ = f.integrate(m)
-    return complex(val)
-
-
 def kms_residual(t: KernelTable, m: MeasureModel, beta: float,
                  f1: CellFunction, g1: GroupElement,
                  f2: CellFunction, g2: GroupElement):
@@ -732,17 +695,18 @@ def kms_residual(t: KernelTable, m: MeasureModel, beta: float,
     G = t.walk.group
     if G.mul(g1, g2) != G.identity():
         return 0.0, 0.0
+    if m.kind != "cylinder":
+        raise UnsupportedGroupError("KMS states need a cylinder measure")
     lhs_fn = f1 * f2.compose_shift(g1)
     rhs_fn = f2 * f1.compose_shift(g2)
     depth = max(lhs_fn.depth, rhs_fn.depth, len(g1.data))
-    if m.kind == "cylinder" and depth > m.depth:
+    if depth > m.depth:
         raise PartitionError(
             f"word needs measure depth {depth}, have {m.depth}",
             suggested_depth=depth,
         )
-    level = m.depth if m.kind == "cylinder" else depth
-    return _kernel_contrast(t, m, beta, G.inv(g1), level,
-                            lhs_fn.values(level), rhs_fn.values(level))
+    return _kernel_contrast(t, m, beta, G.inv(g1), m.depth,
+                            lhs_fn.values(m.depth), rhs_fn.values(m.depth))
 
 
 # -- product construction ------------------------------------------------------------
@@ -753,13 +717,16 @@ def phi_map_pushforward_check(t2: KernelTable, t1: KernelTable,
                               witness_depth: int = 4, seed: int = 11):
     """Kernel identity, equivariance, and pushforward conformality.
 
-    The factor-1 boundary maps into the product boundary, and the kernel
-    there is defined by K((g,h), image of xi) = K(h, xi).  Three checks:
+    The factor-1 boundary maps into the product boundary, and the check
+    gives an image point the factor kernel K((g,h), image of xi) := K(h, xi).
+    Three checks:
 
-    * identity: finite product kernels K((g,h), (e, x_n)) against the
-      defining value K(h, xi) at the deepest witnesses t2 covers.  Purely
-      numerical evidence; shallow witnesses converge slowly, so these
-      rows carry the witness depth rather than a pass bar.
+    * identity: finite product kernels K((g,h), (e, x_n)) against K(h, xi)
+      at the deepest witnesses t2 covers.  `identity_max_residual` is not
+      expected to vanish: the finite kernels converge to the product's own
+      Martin kernel phi_0(g) * F(z_1)^(|h| - 2 cut) (Picardello and Woess
+      1994), not to K(h, xi); see ROADMAP item 1.  The rows carry the
+      witness depth and no pass bar.
     * equivariance: (g,h) moving the image point must match h moving xi
       first.  With defined kernels both routes reduce to factor-side
       cocycle expressions; the residual is float noise when they agree.

@@ -32,9 +32,7 @@ work ball and reads g at ball.index[g], for g of length <= radius.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 import scipy.sparse
@@ -45,9 +43,8 @@ from .errors import (
     ResourceLimitError,
     TransienceError,
 )
-from .groups import (BALL_CAP_DEFAULT, Ball, GroupElement, shared_ball,
-                     word_length)
-from .walks import WalkSpec, exact_steps
+from .groups import BALL_CAP_DEFAULT, Ball, GroupElement, shared_ball
+from .walks import WalkSpec
 
 RHO_SAFETY = 1.05
 RHO_GATE = 1.0 - 1e-6
@@ -276,27 +273,14 @@ class KernelTable:
     def green_at_e(self) -> float:
         return self.green_at(self.walk.group.identity())
 
-    @property
-    def tail(self) -> float:
-        """Largest entry error over the exposed ball."""
-        return self.meta["max_entry_error"]
-
     def green_pair(self, x: GroupElement, y: GroupElement) -> float:
         """G(x, y) by translation invariance."""
         G = self.walk.group
         return self.green_at(G.mul(G.inv(x), y))
 
-    def first_visit(self, x: GroupElement, y: GroupElement) -> float:
-        """F(x, y) = G(x, y) / G(y, y): probability of ever hitting y."""
-        return self.green_pair(x, y) / self.green_at_e
-
     def martin(self, g: GroupElement, h: GroupElement) -> float:
         """Finite Martin kernel K(g, h) = G(g, h) / G(e, h)."""
         return self.green_pair(g, h) / self.green_at(h)
-
-    def green_metric(self, g: GroupElement) -> float:
-        """omega(g) = log G(e,e) - log G(e,g); vanishes at the identity."""
-        return math.log(self.green_at_e) - math.log(self.green_at(g))
 
 
 def build_kernel_table(walk: WalkSpec, radius: int | None = None,
@@ -540,34 +524,15 @@ def spectral_radius_estimate(walk: WalkSpec, n_max: int = 200,
 
 
 def n_step_distribution(walk: WalkSpec, n: int, radius: int,
-                        exact: bool = False,
                         cap: int = BALL_CAP_DEFAULT):
     """Distribution of the walk after n steps, restricted to B(e, radius).
 
     Exact for every element when n * max_step_length <= radius; otherwise
-    a lower bound, with the escaped mass returned alongside.  With
-    exact=True the convolution runs in rational arithmetic.
+    a lower bound, with the escaped mass returned alongside.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    G = walk.group
-    if exact:
-        steps = exact_steps(walk)
-        ball = shared_ball(G, radius, cap)
-        dist = {G.identity(): Fraction(1)}
-        dropped = Fraction(0)
-        for _ in range(n):
-            nxt: dict = {}
-            for a, mass in dist.items():
-                for s, p in steps.items():
-                    b = G.mul(a, s)
-                    if b in ball.index:
-                        nxt[b] = nxt.get(b, Fraction(0)) + mass * p
-                    else:
-                        dropped += mass * p
-            dist = nxt
-        return dist, dropped
-    ball = shared_ball(G, radius, cap)
+    ball = shared_ball(walk.group, radius, cap)
     op = BallOperator.on_ball(walk, ball)
     vec = op.start_vector()
     dropped = 0.0
@@ -616,25 +581,3 @@ def harnack_scan(table: KernelTable, radius: int,
                     if cand > best:
                         best = cand
     return best
-
-
-def tail_condition_check(walk: WalkSpec, constant: float):
-    """sum_g mu(g) * C^{d(g,e)} for the Harnack-type moment condition.
-
-    Finitely supported walks always satisfy it; the value is returned so
-    reports can show the actual moment.
-    """
-    total = 0.0
-    for s, p in walk.steps:
-        total += p * constant ** word_length(walk.group, s)
-    return total, math.isfinite(total)
-
-
-def kernel_bounds_check(table: KernelTable, g: GroupElement,
-                        h: GroupElement, slack: float = 1e-9) -> bool:
-    """G(g,e)/G(e,e) <= K(g,h) <= G(e,e)/G(e,g), with a small slack."""
-    G = table.walk.group
-    k = table.martin(g, h)
-    lower = table.green_at(G.inv(g)) / table.green_at_e
-    upper = table.green_at_e / table.green_at(g)
-    return lower - slack <= k <= upper + slack

@@ -14,10 +14,7 @@ binned wreath boundary, product partitions) use labelled cells instead.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
-import json
 import math
 import types
 from dataclasses import dataclass, field
@@ -117,11 +114,6 @@ def translate_cell(G: GroupModel, g: GroupElement, word: tuple) -> list:
     return out
 
 
-def cell_contains(prefix: tuple, word: tuple) -> bool:
-    """True when C(word) is inside C(prefix)."""
-    return len(word) >= len(prefix) and word[: len(prefix)] == prefix
-
-
 # -- measure models ------------------------------------------------------------
 
 
@@ -132,8 +124,8 @@ class MeasureModel:
     kind "cylinder": masses per depth-D reduced word on the free boundary.
     kind "binned": masses per named cell of a measurable partition (two
     ends of Z, wreath window bins, product factor cells).
-    kind "dirac": unit atom; `atom` names the binned cell carrying it, or
-    a word prefix on the free boundary, and `xi` keeps the approximant.
+    kind "dirac": unit atom; `atom` labels the cell carrying it, compared
+    by ==, and `xi` keeps the approximant.
     """
 
     kind: str
@@ -196,22 +188,16 @@ class MeasureModel:
     @staticmethod
     def dirac(G: GroupModel, xi, atom, note: str = "",
               atom_kernel_dev: float = 0.0) -> "MeasureModel":
-        """Unit atom at xi; `atom` is the word prefix (free) or bin label
-        that contains it."""
+        """Unit atom at xi; `atom` is the label of the cell containing it."""
         return MeasureModel("dirac", G, xi=xi, atom=atom, note=note,
                             atom_kernel_dev=atom_kernel_dev)
 
     # -- mass queries ----------------------------------------------------------
 
-    def total_mass(self) -> float:
-        if self.kind == "dirac":
-            return 1.0
-        return sum(self.masses.values())
-
     def cell_mass(self, cell) -> float:
         """Mass of one cell: a word tuple (any depth <= D) or bin label."""
         if self.kind == "dirac":
-            return 1.0 if self._atom_in(cell) else 0.0
+            return 1.0 if cell == self.atom else 0.0
         if self.kind == "binned":
             if cell not in self.masses:
                 raise PartitionError(f"unknown bin {cell!r}", suggested_depth=0)
@@ -251,28 +237,6 @@ class MeasureModel:
             return math.sqrt(max(p * (1.0 - p), 0.0) / self.n_eff)
         return math.sqrt(sum(self.cell_se(c) ** 2 for c in cells))
 
-    def _atom_in(self, cell) -> bool:
-        if self.group.kind == "free" and isinstance(self.atom, tuple):
-            word = tuple(cell)
-            prefix = self.atom
-            cut = min(len(word), len(prefix))
-            if word[:cut] != prefix[:cut]:
-                return False
-            if len(word) > len(prefix):
-                raise PartitionError(
-                    f"atom known to depth {len(prefix)} cannot decide a "
-                    f"depth-{len(word)} cell",
-                    suggested_depth=len(word),
-                )
-            return True
-        return cell == self.atom
-
-    def max_cell_mass(self) -> float:
-        """Atom diagnostic: the largest single-cell mass."""
-        if self.kind == "dirac":
-            return 1.0
-        return max(self.masses.values())
-
     def cells(self) -> list:
         if self.kind == "dirac":
             return [self.atom]
@@ -283,12 +247,10 @@ class MeasureModel:
     def to_json_dict(self) -> dict:
         cells = []
         if self.kind == "dirac":
-            atom = (cell_name(self.group, self.atom)
-                    if isinstance(self.atom, tuple) else str(self.atom))
             return {
                 "kind": "dirac",
                 "group": self.group.spec(),
-                "atom": atom,
+                "atom": str(self.atom),
                 "xi": self.xi.serialize() if self.xi is not None else None,
                 "note": self.note,
             }
@@ -305,42 +267,11 @@ class MeasureModel:
             "note": self.note,
         }
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["cyl", "mass", "se"])
-        d = self.to_json_dict()
-        for cell in d.get("cells", []):
-            w.writerow([cell["cyl"], repr(cell["mass"]), repr(cell["se"])])
-        w.writerow(["nonconverged", repr(d.get("nonconverged", 0.0)), ""])
-        return buf.getvalue()
-
 
 def _cell_sort_key(cell):
     if isinstance(cell, tuple):
         return (0, len(cell), cell)
     return (1, 0, str(cell))
-
-
-def measure_from_json(G: GroupModel, data) -> MeasureModel:
-    if isinstance(data, str):
-        data = json.loads(data)
-    kind = data.get("kind", "cylinder")
-    if kind == "dirac":
-        raise UnsupportedGroupError(
-            "dirac measures are built from approximants, not JSON"
-        )
-    masses, se = {}, {}
-    for cell in data["cells"]:
-        key = parse_cell(G, cell["cyl"]) if kind == "cylinder" else cell["cyl"]
-        masses[key] = float(cell["mass"])
-        se[key] = float(cell.get("se", 0.0))
-    nonconv = float(data.get("nonconverged", 0.0))
-    note = data.get("note", "")
-    if kind == "cylinder":
-        return MeasureModel.cylinder(G, int(data["depth"]), masses, se,
-                                     nonconv, note)
-    return MeasureModel.binned(G, masses, se, nonconv, note)
 
 
 def uniform_depth1_measure(G: GroupModel) -> MeasureModel:
@@ -349,10 +280,6 @@ def uniform_depth1_measure(G: GroupModel) -> MeasureModel:
     n = len(cells)
     return MeasureModel.cylinder(G, 1, {w: 1.0 / n for w in cells},
                                  note="uniform depth-1")
-
-
-def two_point_cells() -> list:
-    return ["+inf", "-inf"]
 
 
 def tree_exit_measure(G: GroupModel, depth: int) -> MeasureModel:

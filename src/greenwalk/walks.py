@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .errors import ConfigError
@@ -321,17 +320,6 @@ def walk_from_json(obj) -> WalkSpec:
     return make_walk(G, steps, name=obj.get("name", ""))
 
 
-def walk_to_json(walk: WalkSpec) -> dict:
-    return {
-        "group": walk.group.spec(),
-        "steps": [
-            {"elem": serialize_element(walk.group, s), "p": p}
-            for s, p in walk.steps
-        ],
-        "name": walk.name,
-    }
-
-
 def resolve_walk(spec) -> WalkSpec:
     """Accept a WalkSpec, a named-walk string, or a walk JSON object."""
     if isinstance(spec, WalkSpec):
@@ -344,20 +332,3 @@ def resolve_walk(spec) -> WalkSpec:
             return walk_from_json(text)
         return named_walk(text)
     raise ConfigError(f"cannot interpret walk spec {spec!r}", "walk")
-
-
-def exact_steps(walk: WalkSpec) -> dict:
-    """Step probabilities as Fractions, for the exact convolution mode.
-
-    Probabilities are rationalised with a denominator cap; built-in walks
-    use dyadic or small-denominator values, so this is lossless for them.
-    """
-    out = {}
-    for s, p in walk.steps:
-        out[s] = Fraction(p).limit_denominator(10**9)
-    total = sum(out.values())
-    if total != 1:
-        raise ConfigError(
-            "steps do not rationalise exactly; exact mode unavailable", "steps"
-        )
-    return out

@@ -7,6 +7,12 @@ from greenwalk.sampler import harmonic_measure_estimate
 from greenwalk.walks import drift_z, srw_free, wreath_walk
 
 
+def cell_contains(prefix: tuple, word: tuple) -> bool:
+    """True when C(word) is inside C(prefix): the brute-force reference
+    for the leaf ranges."""
+    return len(word) >= len(prefix) and word[: len(prefix)] == prefix
+
+
 @pytest.fixture(scope="session")
 def t_f2():
     return build_kernel_table(srw_free(2), radius=8, method="linear-solve")

@@ -12,7 +12,6 @@ from greenwalk.boundary import (
     extend_kernel,
     free_tree_kernel_oracle,
     harmonicity_residual,
-    kernel_bounds_residual,
     parse_approximant,
     spine_candidates,
     spine_scan,
@@ -161,7 +160,12 @@ def test_harmonicity_drift(t_drift):
 
 
 def test_kernel_bounds_residual_zero(t_f2):
-    assert kernel_bounds_residual(t_f2, parse_element(F2, "ab"), end("ba")) == 0.0
+    # G(g,e)/G(e,e) <= K(g, xi) <= G(e,e)/G(e,g), within the kernel error
+    g = parse_element(F2, "ab")
+    val, err = extend_kernel(t_f2, g, end("ba"))
+    lower = t_f2.green_at(F2.inv(g)) / t_f2.green_at_e
+    upper = t_f2.green_at_e / t_f2.green_at(g)
+    assert lower - err <= val <= upper + err
 
 
 # -- boundary action ----------------------------------------------------------

@@ -210,6 +210,10 @@ def test_suite_small(tmp_path, capsys):
 @pytest.mark.parametrize("command, payload", [
     ("martin", {"g": "a", "end": "bogus"}),
     ("phi", {"grid": ["x", 1]}),
+    ("phi", {"grid": [0, float("nan"), 1]}),
+    ("phi", {"grid": [0, 1, float("inf")]}),
+    ("phi", {"grid": [float("-inf"), 0, 1]}),
+    ("phi", {"grid": [0, 1, 10 ** 400]}),
     ("green", {"walk": {"group": "free:2", "steps": [
         {"elem": "a", "p": "half"}, {"elem": "A", "p": 0.25},
         {"elem": "b", "p": 0.25}]}}),
@@ -220,7 +224,8 @@ def test_suite_small(tmp_path, capsys):
     ("green", {"walk": "srw-free:x"}),
     ("green", {"walk": "{not json"}),
     ("harmonic", {"samples": 1000, "depth": 2, "horizon": 10_000_000}),
-], ids=["martin-end", "phi-grid", "walk-p", "martin-g-int", "martin-end-int",
+], ids=["martin-end", "phi-grid", "phi-grid-nan", "phi-grid-inf",
+        "phi-grid-neg-inf", "phi-grid-huge-int", "walk-p", "martin-g-int", "martin-end-int",
         "walk-no-p", "walk-name-arg", "walk-json-text", "horizon-too-long"])
 def test_malformed_input_exits_usage(capsys, tmp_path, command, payload):
     cfg = write_config(tmp_path, "c.json", payload)

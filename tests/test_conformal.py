@@ -2,18 +2,17 @@ import math
 from fractions import Fraction
 
 import pytest
+from conftest import cell_contains
 
 from greenwalk.boundary import BoundaryApproximant, spine_candidates, spine_scan
 from greenwalk.conformal import (
     CellFunction,
-    KmsWord,
     cell_pullback_mass,
     classify,
     conformality_residual,
     invariant_measure_feasibility,
     kernel_on_cell,
     kms_residual,
-    kms_word_eval,
     multiplicity_report,
     normalization_check,
     phi_curve,
@@ -243,7 +242,7 @@ def test_feasibility_infeasible_with_certificate(depth):
         "free:3-d2"])
 def test_feasibility_certificate_recombines(G, depth):
     """Replay the certificate: the multipliers really produce 0 = 1."""
-    from greenwalk.measures import cell_contains, translate_cell
+    from greenwalk.measures import translate_cell
 
     out = invariant_measure_feasibility(G, depth)
     mult = out["certificate"]["multipliers"]
@@ -304,19 +303,6 @@ def test_feasibility_unsupported():
 # -- KMS words and residuals --------------------------------------------------------
 
 
-def test_kms_word_eval(m_exact):
-    one = CellFunction.one(F2)
-    ind_a = CellFunction.indicator(F2, (1,))
-    e = F2.identity()
-    assert kms_word_eval(m_exact, KmsWord([])) == 1.0
-    assert kms_word_eval(m_exact, KmsWord([(ind_a, e)])) == pytest.approx(0.25)
-    # a word whose group part does not cancel has state value zero
-    assert kms_word_eval(m_exact, KmsWord([(one, _el("b"))])) == 0.0
-    # (1_B U_b)(1 U_B): reduces to 1_B, group part e
-    word = KmsWord([(ind_a, _el("b")), (one, _el("B"))])
-    assert kms_word_eval(m_exact, word) == pytest.approx(0.25)
-
-
 def test_kms_residual_identity_element(t_f2, m_exact):
     one = CellFunction.one(F2)
     ind_a = CellFunction.indicator(F2, (1,))
@@ -363,6 +349,15 @@ def test_kms_word_too_deep(t_f2, m_f2):
         kms_residual(t_f2, m_f2, 1.0, deep, _el("b"), one, _el("B"))
     # shifting the depth-5 indicator past U_b costs one more level
     assert exc.value.suggested_depth == 6
+
+
+def test_cell_algebra_needs_cylinder_measure(t_f2):
+    one = CellFunction.one(F2)
+    atom = MeasureModel.dirac(F2, None, "spine")
+    with pytest.raises(UnsupportedGroupError):
+        kms_residual(t_f2, atom, 1.0, one, _el("b"), one, _el("B"))
+    with pytest.raises(UnsupportedGroupError):
+        one.integrate(atom)
 
 
 # -- product boundary ---------------------------------------------------------------

@@ -15,6 +15,7 @@ import os
 import random
 
 import pytest
+from conftest import cell_contains
 
 from greenwalk.conformal import (
     CellFunction,
@@ -27,7 +28,6 @@ from greenwalk.groups import GroupModel, parse_element
 from greenwalk.measures import (
     MeasureModel,
     all_cells,
-    cell_contains,
     translate_cell,
 )
 

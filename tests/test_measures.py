@@ -2,6 +2,7 @@ import json
 import math
 
 import pytest
+from conftest import cell_contains
 
 from greenwalk.conformal import cell_pullback_mass
 from greenwalk.errors import PartitionError, UnsupportedGroupError
@@ -10,13 +11,10 @@ from greenwalk.measures import (
     MeasureModel,
     all_cells,
     cell_children,
-    cell_contains,
     cell_name,
-    measure_from_json,
     parse_cell,
     translate_cell,
     tree_exit_measure,
-    two_point_cells,
     uniform_depth1_measure,
 )
 
@@ -84,7 +82,7 @@ def test_tree_exit_measure_exact():
     assert all(v == pytest.approx(1 / 12, abs=1e-15) for v in m2.masses.values())
     for d in (1, 2, 3, 4):
         m = tree_exit_measure(F2, d)
-        assert m.total_mass() == pytest.approx(1.0, abs=1e-12)
+        assert sum(m.masses.values()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cylinder_validation():
@@ -119,18 +117,6 @@ def test_binomial_se_from_n_eff():
     assert m.cell_se((1,)) == pytest.approx(math.sqrt(0.25 * 0.75 / 10_000))
 
 
-def test_dirac_atom_queries():
-    xi = None
-    m = MeasureModel.dirac(F2, xi, (1, 2))
-    assert m.cell_mass((1,)) == 1.0
-    assert m.cell_mass((1, 2)) == 1.0
-    assert m.cell_mass((2,)) == 0.0
-    assert m.cell_se((1,)) == 0.0
-    with pytest.raises(PartitionError):
-        m.cell_mass((1, 2, 1))  # deeper than the atom prefix
-    assert m.total_mass() == 1.0 and m.max_cell_mass() == 1.0
-
-
 def test_dirac_labelled_atom():
     Z = GroupModel.lattice(1)
     m = MeasureModel.dirac(Z, None, "+inf")
@@ -145,7 +131,7 @@ def test_binned_measure():
     assert m.cell_mass("+inf") == 1.0
     with pytest.raises(PartitionError):
         m.cell_mass("sideways")
-    assert two_point_cells() == ["+inf", "-inf"]
+    assert m.cells() == ["+inf", "-inf"]
 
 
 def test_uniform_depth1():
@@ -159,25 +145,17 @@ def test_json_round_trip():
     assert blob["kind"] == "cylinder" and blob["depth"] == 2
     assert len(blob["cells"]) == 12
     assert all(set(c) == {"cyl", "mass", "se"} for c in blob["cells"])
-    again = measure_from_json(F2, json.loads(json.dumps(blob)))
-    assert again.masses == pytest.approx(m.masses)
-    assert again.nonconverged == m.nonconverged
+    data = json.loads(json.dumps(blob))
+    again = {parse_cell(F2, c["cyl"]): c["mass"] for c in data["cells"]}
+    assert again == pytest.approx(m.masses)
+    assert data["nonconverged"] == m.nonconverged
 
 
 def test_json_dirac_shape():
-    m = MeasureModel.dirac(F2, None, (1,))
+    m = MeasureModel.dirac(GroupModel.lattice(1), None, "+inf")
     blob = m.to_json_dict()
-    assert blob == {"kind": "dirac", "group": "free:2", "atom": "a",
+    assert blob == {"kind": "dirac", "group": "lattice:1", "atom": "+inf",
                     "xi": None, "note": ""}
-    with pytest.raises(UnsupportedGroupError):
-        measure_from_json(F2, blob)
-
-
-def test_csv_output():
-    text = tree_exit_measure(F2, 1).to_csv()
-    lines = text.strip().splitlines()
-    assert lines[0] == "cyl,mass,se"
-    assert lines[-1].startswith("nonconverged,")
 
 
 def test_cells_only_on_free_groups():

