@@ -37,6 +37,8 @@ from .measures import (
 )
 from .sampler import harmonic_measure_estimate
 from .walks import (
+    GENERATION_RADIUS,
+    GENERATION_STEPS,
     drift_z,
     generation_certificate,
     product_walk,
@@ -399,7 +401,7 @@ def _check_product(ctx):
     left, right = G2.factors
 
     mass_gap = abs(sum(p for _, p in p2.steps) - 1.0)
-    cert = generation_certificate(p2, 3, 12)
+    cert = generation_certificate(p2, GENERATION_RADIUS, GENERATION_STEPS)
 
     marginal = {}
     for s, p in p2.steps:

@@ -309,9 +309,9 @@ def harmonicity_residual(t: KernelTable, g: GroupElement,
 # -- spine detection ----------------------------------------------------------
 
 
-def spine_scan(t: KernelTable, xi: BoundaryApproximant, R: int,
-               tol: float | None = None) -> dict:
-    """Check K(g, xi) = 1 over the ball of radius R, up to tol.
+def spine_scan(t: KernelTable, xi: BoundaryApproximant, R: int) -> dict:
+    """Check K(g, xi) = 1 over the ball of radius R, up to the group's
+    default_spine_tolerance.
 
     Returns {"isSpine", "maxDev", "maxErr", "radius", "tol"}.  maxDev is
     the worst |K - 1| over the ball, maxErr the worst kernel uncertainty;
@@ -320,8 +320,7 @@ def spine_scan(t: KernelTable, xi: BoundaryApproximant, R: int,
     """
     from .groups import shared_ball
 
-    if tol is None:
-        tol = default_spine_tolerance(t.walk.group)
+    tol = default_spine_tolerance(t.walk.group)
     ball = shared_ball(t.walk.group, R)
     max_dev = 0.0
     max_err = 0.0
@@ -343,8 +342,7 @@ def default_spine_tolerance(G: GroupModel) -> float:
     return SPINE_TOL_Z
 
 
-def spine_candidates(G: GroupModel, n_terms: int = 8,
-                     template_depth: int = SPINE_TEMPLATE_DEPTH) -> list:
+def spine_candidates(G: GroupModel, n_terms: int = 8) -> list:
     """Candidate spine directions worth scanning on this group.
 
     Lattices offer the two (per-axis) infinities.  Free groups get the
@@ -380,7 +378,7 @@ def spine_candidates(G: GroupModel, n_terms: int = 8,
         t_pos = GroupElement("wreath", ((), 1))
         t_neg = GroupElement("wreath", ((), -1))
         decorations = [((), "")]
-        for depth in range(1, template_depth + 1):
+        for depth in range(1, SPINE_TEMPLATE_DEPTH + 1):
             sites = tuple(range(depth))
             lamps = tuple((s, 1) for s in sites)
             decorations.append((lamps, f"lamp0..{depth - 1}" if depth > 1
@@ -408,9 +406,7 @@ def spine_candidates(G: GroupModel, n_terms: int = 8,
     return []
 
 
-def best_spine_candidate(t: KernelTable, R: int,
-                         tol: float | None = None,
-                         n_terms: int = 8) -> dict:
+def best_spine_candidate(t: KernelTable, R: int, n_terms: int = 8) -> dict:
     """Scan every template and report the best (smallest maxDev) one."""
     cands = spine_candidates(t.walk.group, n_terms=n_terms)
     if not cands:
@@ -420,7 +416,7 @@ def best_spine_candidate(t: KernelTable, R: int,
     results = []
     for cand in cands:
         try:
-            verdict = spine_scan(t, cand, R, tol)
+            verdict = spine_scan(t, cand, R)
         except (ConvergenceError, RangeError) as exc:
             results.append({"label": cand.label, "error": str(exc)})
             continue

@@ -46,7 +46,12 @@ from .measures import (
     uniform_depth1_measure,
 )
 from .sampler import harmonic_measure_estimate
-from .walks import resolve_walk
+from .walks import (
+    GENERATION_RADIUS,
+    GENERATION_STEPS,
+    generation_certificate,
+    resolve_walk,
+)
 from .groups import parse_element
 
 EXIT_OK = 0
@@ -382,10 +387,8 @@ def _run_product(cfg, seed, workers, tol):
         raise ConfigError(
             f"product subcommand needs a product walk, got {G2.spec()}",
             "walk")
-    from .walks import generation_certificate
-
     mass_gap = abs(sum(p for _, p in w.steps) - 1.0)
-    cert = generation_certificate(w, 3, 12)
+    cert = generation_certificate(w, GENERATION_RADIUS, GENERATION_STEPS)
     report = {
         "command": "product",
         "walk": w.name or G2.spec(),

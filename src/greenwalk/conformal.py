@@ -155,7 +155,8 @@ def kernel_on_cell(t: KernelTable, g: GroupElement, cell: tuple) -> float:
 
 
 def cell_pullback_mass(m: MeasureModel, g: GroupElement, B):
-    """(m(g^{-1}B), standard error) for any supported boundary model."""
+    """(m(g^{-1}B), standard error) for cylinder and Dirac measures and
+    the two-end bins of Z; other binned measures have no pullback rule."""
     G = m.group
     if m.kind == "cylinder":
         cells = translate_cell(G, G.inv(g), tuple(B))
@@ -163,48 +164,12 @@ def cell_pullback_mass(m: MeasureModel, g: GroupElement, B):
     if m.kind == "dirac":
         # labelled atoms used here sit at group-fixed boundary points
         return m.cell_mass(B), 0.0
-    if G.kind == "wreath":
-        total, var = 0.0, 0.0
-        for bin_key, mass in m.masses.items():
-            if _wreath_bin_in(G, g, bin_key, B):
-                total += mass
-                var += m.se.get(bin_key, 0.0) ** 2
-        if m.n_eff > 0:
-            var = max(total * (1.0 - total), 0.0) / m.n_eff
-        return total, math.sqrt(var)
     if G.kind == "lattice":
         # translations fix both ends
         return m.cell_mass(B), m.cell_se(B)
     raise UnsupportedGroupError(
         f"no pullback rule for binned measures on {G.spec()}"
     )
-
-
-def _wreath_bin_in(G: GroupModel, g: GroupElement, bin_key, B) -> bool:
-    """Is g * (bin representative) inside the coarse cell B?
-
-    B is {"sign": "+"/"-", "lamps": {site: value}} with sites within the
-    window the stored bins can still determine after translation by g.
-    """
-    sign, lamps = bin_key
-    if sign != B["sign"]:
-        return False
-    glamps, gpos = g.data
-    q = G.params[0]
-    W = (len(lamps) - 1) // 2
-    gl = dict(glamps)
-    for site, want in B["lamps"].items():
-        src = site - gpos
-        if not -W <= src <= W:
-            raise PartitionError(
-                f"site {site} leaves the stored window after shifting by "
-                f"{gpos}; store a wider window",
-                suggested_depth=abs(src),
-            )
-        have = (lamps[src + W] + gl.get(site, 0)) % q
-        if have != want:
-            return False
-    return True
 
 
 # -- conformality ---------------------------------------------------------------
@@ -217,9 +182,9 @@ def conformality_residual(t: KernelTable, m: MeasureModel, beta: float,
     On cylinder measures both sides are expanded over the measure's leaf
     cells, so the standard error is that of one linear contrast of the
     estimated masses.  Dirac measures evaluate the kernel at the atom;
-    binned measures need kernel values per (acting element, bin), passed
-    as `bin_kernels[(serialized g, bin key)] = (value, error)`, except at
-    beta = 0 where no kernels enter.
+    the two-end bins of Z need kernel values per (acting element, bin),
+    passed as `bin_kernels[(serialized g, bin)] = (value, error)`, except
+    at beta = 0 where no kernels enter.
     """
     G = m.group
     if m.kind == "cylinder":
@@ -232,7 +197,7 @@ def conformality_residual(t: KernelTable, m: MeasureModel, beta: float,
     se_B = m.cell_se(B)
     if beta == 0.0:
         return abs(lhs - in_B), math.sqrt(lhs_se**2 + se_B**2)
-    key = (serialize_element(G, g), _bin_key_of(B))
+    key = (serialize_element(G, g), B)
     if bin_kernels is None or key not in bin_kernels:
         raise UnsupportedGroupError(
             "binned conformality at beta != 0 needs a kernel value for "
@@ -271,12 +236,6 @@ def stationarity_residual(w: WalkSpec, m: MeasureModel, B):
         total += p * val
         var += (p * se) ** 2
     return abs(total - base), math.sqrt(var)
-
-
-def _bin_key_of(B):
-    if isinstance(B, dict):
-        return (B["sign"], tuple(sorted(B["lamps"].items())))
-    return B
 
 
 def _power_err(k: float, kerr: float, beta: float) -> float:
@@ -345,10 +304,7 @@ def _dirac_residual(t: KernelTable, m: MeasureModel, beta: float,
                     g: GroupElement, B):
     """Residual at a labelled atom, which sits at a group-fixed point."""
     in_B = m.cell_mass(B)
-    if m.xi is not None:
-        kval, kerr = extend_kernel(t, g, m.xi)
-    else:
-        kval, kerr = 1.0, m.atom_kernel_dev
+    kval, kerr = (1.0, 0.0) if m.xi is None else extend_kernel(t, g, m.xi)
     residual = abs(in_B - in_B * kval**beta)
     return residual, in_B * _power_err(kval, kerr, beta)
 
@@ -358,7 +314,7 @@ def normalization_check(t: KernelTable, m: MeasureModel, beta: float,
     """(integral of K(g^{-1}, .)^beta dm, error); 1 for conformal m."""
     ginv = m.group.inv(g)
     if m.kind == "dirac":
-        kval, kerr = ((1.0, m.atom_kernel_dev) if m.xi is None
+        kval, kerr = ((1.0, 0.0) if m.xi is None
                       else extend_kernel(t, ginv, m.xi))
         return kval**beta, _power_err(kval, kerr, beta)
     if m.kind == "binned":
@@ -394,8 +350,8 @@ class PhiCurve:
         return tuple(e[i + 1] + 2 * e[i] + e[i - 1]
                      for i in range(1, len(e) - 1))
 
-    def convex_within_error(self, slack: float = 1e-12) -> bool:
-        return all(d >= -(err + slack) for d, err in
+    def convex_within_error(self) -> bool:
+        return all(d >= -(err + 1e-12) for d, err in
                    zip(self.second_differences(),
                        self.second_difference_errors()))
 
@@ -412,9 +368,9 @@ def phi_curve(t: KernelTable, m: MeasureModel, n: int = 1,
             f"n-step support dropped mass {dropped}", suggested_depth=reach
         )
     if m.kind == "dirac":
+        # a labelled atom sits at a group-fixed point, where K(h, .) = 1
         values = [sum(dist.values())] * len(grid)
-        errors = [sum(p * _power_err(1.0, m.atom_kernel_dev, tv)
-                      for p in dist.values()) for tv in grid]
+        errors = [0.0] * len(grid)
         return PhiCurve(t.walk, m, n, grid, tuple(values), tuple(errors))
     if m.kind == "binned":
         raise UnsupportedGroupError("phi_curve needs a cylinder boundary")
@@ -447,13 +403,14 @@ class BetaVerdict:
     evidence: dict
 
 
-def classify(t: KernelTable, m: MeasureModel, spine: dict | None,
-             cells=None, gens=None,
-             bin_kernels: dict | None = None) -> BetaVerdict:
+def classify(t: KernelTable, m: MeasureModel,
+             spine: dict | None) -> BetaVerdict:
     """Grade the measure against the three conformality alternatives.
 
     A: Dirac at a detected spine (conformal for every beta).  B: passes
     the beta = 0 (invariance) battery.  C: passes the beta = 1 battery.
+    Each battery acts by every generator on each bin, depth-1 cylinder or
+    atom of the measure.
     The admissible KMS set is "all real beta" exactly when a spine was
     found, otherwise a subset of {0, 1}; on free boundaries an exact
     infeasibility certificate for invariant measures removes 0.
@@ -463,18 +420,15 @@ def classify(t: KernelTable, m: MeasureModel, spine: dict | None,
     info = spine or {}
     radius, tol, max_dev = info.get("radius"), info.get("tol"), info.get("maxDev")
     evidence: dict = {}
-    if gens is None:
-        gens = list(G.generators())
-    if cells is None:
-        cells = _default_cells(m)
+    gens = list(G.generators())
+    cells = _battery_cells(m)
     if spine_found and m.kind == "dirac":
         grid_evidence = []
         for beta in BETA_GRID:
             worst = 0.0
             for g in gens:
                 for B in cells:
-                    res, err = conformality_residual(t, m, beta, g, B,
-                                                     bin_kernels)
+                    res, err = conformality_residual(t, m, beta, g, B)
                     worst = max(worst, res - Z_LIMIT * err)
             grid_evidence.append({"beta": beta, "excess": worst})
         evidence["beta_grid"] = grid_evidence
@@ -487,8 +441,7 @@ def classify(t: KernelTable, m: MeasureModel, spine: dict | None,
         for g in gens:
             for B in cells:
                 try:
-                    res, err = conformality_residual(t, m, beta, g, B,
-                                                     bin_kernels)
+                    res, err = conformality_residual(t, m, beta, g, B)
                 except UnsupportedGroupError as exc:
                     blocked = str(exc)
                     break
@@ -519,7 +472,7 @@ def classify(t: KernelTable, m: MeasureModel, spine: dict | None,
                        admissible, evidence)
 
 
-def _default_cells(m: MeasureModel):
+def _battery_cells(m: MeasureModel):
     if m.kind == "binned":
         return list(m.masses)
     if m.kind == "cylinder":
@@ -834,7 +787,7 @@ def _random_reduced_word(G: GroupModel, rng, depth: int) -> tuple:
     return tuple(word)
 
 
-def multiplicity_report(measures: list, partitions: list | None = None) -> dict:
+def multiplicity_report(measures: list) -> dict:
     """Count candidate conformal measures a shared partition tells apart.
 
     `measures` is a list of {"label", "masses": {cell label: mass},

@@ -43,12 +43,15 @@ from .errors import (
     ResourceLimitError,
     TransienceError,
 )
-from .groups import BALL_CAP_DEFAULT, Ball, GroupElement, shared_ball
+from .groups import Ball, GroupElement, shared_ball
 from .walks import WalkSpec
 
 RHO_SAFETY = 1.05
 RHO_GATE = 1.0 - 1e-6
+SERIES_EPS = 1e-6
 SERIES_N_CAP = 20_000
+# ball cap of the spectral-radius probe, which shrinks its radius past it
+SPECTRAL_PROBE_CAP = 250_000
 
 RADIUS_DEFAULTS = {"free": 8, "lattice": 20, "wreath": 10, "product": 6}
 MARGIN_DEFAULTS = {"free": 6, "lattice": 60, "wreath": 8, "product": 2}
@@ -224,17 +227,13 @@ class KernelTable:
     sits at |g|; a ball table is laid out like its work ball `ball`, so g
     sits at ball.index[g].  Either way g is covered when |g| <= radius.
 
-    `method` is "series" or "linear-solve".  G(x, y) for general x is
-    obtained through translation invariance G(x, y) = G(e, x^{-1} y), so
-    the invariance identity holds exactly by construction.
+    G(x, y) for general x is obtained through translation invariance
+    G(x, y) = G(e, x^{-1} y), so the invariance identity holds exactly by
+    construction.
     """
 
     walk: WalkSpec
     radius: int
-    method: str
-    eps: float
-    rho_hat: float
-    rho_certified: bool
     steps_used: int | None
     meta: dict
     values: np.ndarray
@@ -284,13 +283,14 @@ class KernelTable:
 
 
 def build_kernel_table(walk: WalkSpec, radius: int | None = None,
-                       eps: float = 1e-6, method: str = "linear-solve",
-                       margin: int | None = None,
-                       cap: int = BALL_CAP_DEFAULT,
-                       n_cap: int = SERIES_N_CAP) -> KernelTable:
+                       method: str = "linear-solve",
+                       margin: int | None = None) -> KernelTable:
     """Build a Green table by the requested method.
 
     radius -- largest word length the table will answer queries for
+    method -- "linear-solve" or "series"; a series table sums terms until
+              its tail estimate is below SERIES_EPS, within SERIES_N_CAP
+              terms
     margin -- extra working radius beyond `radius` shielding the exposed
               entries from the absorbing boundary (or from dropped series
               mass); defaults per group kind.
@@ -301,20 +301,20 @@ def build_kernel_table(walk: WalkSpec, radius: int | None = None,
     if method not in ("series", "linear-solve"):
         raise ValueError(f"unknown method {method!r}")
     if walk.is_isotropic_free_srw:
-        return _build_radial(walk, radius, eps, method)
+        return _build_radial(walk, radius, method)
     if margin is None:
         margin = default_margin(walk)
     if method == "linear-solve":
-        return _build_solve(walk, radius, eps, margin, cap)
-    return _build_series(walk, radius, eps, margin, cap, n_cap)
+        return _build_solve(walk, radius, margin)
+    return _build_series(walk, radius, margin)
 
 
-def _table(walk: WalkSpec, radius: int, method: str, eps: float, rho: tuple,
-           steps_used: int | None, values: np.ndarray, errors: np.ndarray,
-           ball: Ball | None, **meta) -> KernelTable:
+def _table(walk: WalkSpec, radius: int, method: str, steps_used: int | None,
+           values: np.ndarray, errors: np.ndarray, ball: Ball | None,
+           **meta) -> KernelTable:
     """The table of `values` and `errors` laid out like `ball`, or by word
-    length when `ball` is None; errors are floored at 1e-15.  `rho` is
-    (rho_hat, rho_certified) and `meta` the route's own entries."""
+    length when `ball` is None; errors are floored at 1e-15.  `meta` holds
+    the route's own entries."""
     errors = np.maximum(errors, 1e-15)
     if ball is None:
         exposed = errors
@@ -323,40 +323,34 @@ def _table(walk: WalkSpec, radius: int, method: str, eps: float, rho: tuple,
         meta["ball_size"] = len(ball)
     meta.update(lumped=ball is None, max_entry_error=float(exposed.max()),
                 error_kind=ERROR_KINDS[method])
-    return KernelTable(walk, radius, method, eps, *rho, steps_used, meta,
-                       values, errors, ball)
+    return KernelTable(walk, radius, steps_used, meta, values, errors, ball)
 
 
-def _build_radial(walk: WalkSpec, radius: int, eps: float,
-                  method: str) -> KernelTable:
+def _build_radial(walk: WalkSpec, radius: int, method: str) -> KernelTable:
     k = walk.group.params[0]
     chain_radius = radius + CHAIN_EXTRA
     op = RadialChainOperator(k, chain_radius)
     sphere = np.array([op.sphere_size(d) for d in range(radius + 1)], dtype=float)
     if method == "linear-solve":
-        rho = _rho_from_history(
-            _rho_history(op, n_max=min(600, 2 * chain_radius - 20)))
         v_full = op.solve_green_row()[: radius + 1]
         v_half = RadialChainOperator(
             k, radius + CHAIN_EXTRA // 2).solve_green_row()[: radius + 1]
-        return _table(walk, radius, method, eps, rho, None, v_full / sphere,
+        return _table(walk, radius, method, None, v_full / sphere,
                       np.abs(v_full - v_half) / sphere, None,
                       work_radius=chain_radius,
                       solver={"work": "banded", "half": "banded"},
                       dropped_mass=0.0)
-    sums, tails, n_used, dropped, *rho = _series_accumulate(
-        op, np.arange(radius + 1), eps * sphere.min(), n_cap=SERIES_N_CAP
-    )
-    return _table(walk, radius, method, eps, rho, n_used,
+    sums, tails, n_used, dropped = _series_accumulate(
+        op, np.arange(radius + 1), SERIES_EPS * sphere.min())
+    return _table(walk, radius, method, n_used,
                   sums[: radius + 1] / sphere, tails[: radius + 1] / sphere,
                   None, work_radius=chain_radius, dropped_mass=dropped)
 
 
-def _build_solve(walk: WalkSpec, radius: int, eps: float, margin: int,
-                 cap: int) -> KernelTable:
+def _build_solve(walk: WalkSpec, radius: int, margin: int) -> KernelTable:
     if margin < 1:
         raise ValueError(f"linear-solve needs margin >= 1, got {margin}")
-    ball = shared_ball(walk.group, radius + margin, cap)
+    ball = shared_ball(walk.group, radius + margin)
     op = BallOperator.on_ball(walk, ball)
     v_full, work_solver, work_sweeps = _absorbing_green_row(op)
     # the error estimate compares with the walk killed outside a smaller
@@ -365,23 +359,19 @@ def _build_solve(walk: WalkSpec, radius: int, eps: float, margin: int,
     v_half = np.zeros_like(v_full)
     v_half[keep], half_solver, half_sweeps = _absorbing_green_row(
         op.restricted(keep))
-    rho = _rho_from_history(
-        _rho_history(op, n_max=min(200, 2 * (radius + margin))))
-    return _table(walk, radius, "linear-solve", eps, rho, None, v_full,
+    return _table(walk, radius, "linear-solve", None, v_full,
                   np.abs(v_full - v_half), ball, work_radius=radius + margin,
                   solver={"work": work_solver, "half": half_solver},
                   sweeps={"work": work_sweeps, "half": half_sweeps},
                   dropped_mass=0.0)
 
 
-def _build_series(walk: WalkSpec, radius: int, eps: float, margin: int,
-                  cap: int, n_cap: int) -> KernelTable:
-    ball = shared_ball(walk.group, radius + margin, cap)
+def _build_series(walk: WalkSpec, radius: int, margin: int) -> KernelTable:
+    ball = shared_ball(walk.group, radius + margin)
     op = BallOperator.on_ball(walk, ball)
-    sums, tails, n_used, dropped, *rho = _series_accumulate(
-        op, np.flatnonzero(ball.depth <= radius), eps, n_cap
-    )
-    return _table(walk, radius, "series", eps, rho, n_used, sums, tails,
+    sums, tails, n_used, dropped = _series_accumulate(
+        op, np.flatnonzero(ball.depth <= radius), SERIES_EPS)
+    return _table(walk, radius, "series", n_used, sums, tails,
                   ball, work_radius=radius + margin, dropped_mass=dropped)
 
 
@@ -403,35 +393,31 @@ def _absorbing_green_row(op: BallOperator):
             "spsolve", op.size)
 
 
-def _series_accumulate(op, exposed_idx, eps: float, n_cap: int):
+def _series_accumulate(op, exposed_idx, eps: float):
     """Sum convolution powers until the calibrated tail clears eps.
 
-    Returns (sums, tails, n_used, dropped_mass, rho_hat, rho_certified).
+    Returns (sums, tails, n_used, dropped_mass).
     The tail bound per entry is max(term/rho_safe^n over the last 4 terms)
     * rho_safe^{n+1}/(1-rho_safe), a geometric envelope calibrated on the
-    trailing terms; heuristic because rho_hat estimates the true spectral
-    radius from below.
+    trailing terms; heuristic because rho_hat, the latest even-step
+    (mu^n(e))^{1/n}, estimates the true spectral radius from below.
     """
     vec = op.start_vector()
     start = op.start
     sums = vec.copy()
     dropped = 0.0
     window: list[np.ndarray] = []
-    returns = [1.0]
-    rho_hat, certified = 0.0, True
+    rho_hat = 0.0
     n = 0
     tails = np.full_like(vec, np.inf)
-    while n < n_cap:
+    while n < SERIES_N_CAP:
         vec, d = op.convolve(vec)
         dropped += d
         n += 1
         sums += vec
-        returns.append(float(vec[start]))
+        if n % 2 == 0 and vec[start] > 0:
+            rho_hat = float(vec[start]) ** (1.0 / n)
         if n >= 8:
-            rho_hat, certified = _rho_from_history(
-                [(m, returns[m] ** (1.0 / m))
-                 for m in range(2, n + 1, 2) if returns[m] > 0]
-            )
             rho_safe = RHO_SAFETY * rho_hat
             if rho_safe >= RHO_GATE:
                 raise TransienceError(
@@ -445,35 +431,12 @@ def _series_accumulate(op, exposed_idx, eps: float, n_cap: int):
                 envelope = np.maximum.reduce(window)
                 tails = envelope * rho_safe ** (n + 1) / (1.0 - rho_safe)
                 if float(tails[exposed_idx].max()) <= eps:
-                    return sums, tails, n, dropped, rho_hat, certified
+                    return sums, tails, n, dropped
     best = float(tails[exposed_idx].max()) if np.isfinite(tails).any() else float("inf")
     raise PrecisionError(
-        f"series tail {best:.3e} still above eps={eps:.3e} after {n_cap} terms",
+        f"series tail {best:.3e} still above eps={eps:.3e} after {n} terms",
         best_bound=best,
     )
-
-
-def _rho_history(op, n_max: int):
-    """Even-step return probabilities (mu^n(e))^{1/n} up to n_max."""
-    vec = op.start_vector()
-    start = op.start
-    hist = []
-    for n in range(1, n_max + 1):
-        vec, _ = op.convolve(vec)
-        if n % 2 == 0 and vec[start] > 0:
-            hist.append((n, float(vec[start]) ** (1.0 / n)))
-    return hist
-
-
-def _rho_from_history(hist):
-    """Latest even-subsequence estimate and its monotonicity certificate."""
-    if not hist:
-        return 0.0, True
-    estimates = [r for _, r in hist]
-    certified = all(
-        b >= a - 1e-12 for a, b in zip(estimates, estimates[1:])
-    )
-    return estimates[-1], certified
 
 
 # -- free-standing operations -------------------------------------------------
@@ -487,9 +450,8 @@ class SpectralRadiusEstimate:
     history: tuple
 
 
-def spectral_radius_estimate(walk: WalkSpec, n_max: int = 200,
-                             radius: int | None = None,
-                             cap: int = BALL_CAP_DEFAULT) -> SpectralRadiusEstimate:
+def spectral_radius_estimate(walk: WalkSpec,
+                             n_max: int = 200) -> SpectralRadiusEstimate:
     """rho_hat = (mu^n(e,e))^{1/n} along the even subsequence.
 
     For symmetric walks the even subsequence increases to the true
@@ -505,26 +467,30 @@ def spectral_radius_estimate(walk: WalkSpec, n_max: int = 200,
     if walk.is_isotropic_free_srw:
         op = RadialChainOperator(walk.group.params[0], n_max // 2 + 4)
     else:
-        if radius is None:
-            radius = (n_max // 2) * walk.max_step_length()
-        probe_cap = min(cap, 250_000)
+        radius = (n_max // 2) * walk.max_step_length()
         op = None
         while radius > 4:
             try:
                 op = BallOperator.on_ball(
-                    walk, shared_ball(walk.group, radius, probe_cap))
+                    walk, shared_ball(walk.group, radius, SPECTRAL_PROBE_CAP))
                 break
             except ResourceLimitError:
                 radius = max(4, radius * 2 // 3)
         if op is None:
-            op = BallOperator.on_ball(walk, shared_ball(walk.group, radius, cap))
-    hist = _rho_history(op, n_max)
-    rho, certified = _rho_from_history(hist)
-    return SpectralRadiusEstimate(rho, n_max, certified, tuple(hist))
+            op = BallOperator.on_ball(walk, shared_ball(walk.group, radius))
+    vec = op.start_vector()
+    hist = []
+    for n in range(1, n_max + 1):
+        vec, _ = op.convolve(vec)
+        if n % 2 == 0 and vec[op.start] > 0:
+            hist.append((n, float(vec[op.start]) ** (1.0 / n)))
+    estimates = [r for _, r in hist]
+    monotone = all(b >= a - 1e-12 for a, b in zip(estimates, estimates[1:]))
+    return SpectralRadiusEstimate(estimates[-1] if hist else 0.0, n_max,
+                                  monotone, tuple(hist))
 
 
-def n_step_distribution(walk: WalkSpec, n: int, radius: int,
-                        cap: int = BALL_CAP_DEFAULT):
+def n_step_distribution(walk: WalkSpec, n: int, radius: int):
     """Distribution of the walk after n steps, restricted to B(e, radius).
 
     Exact for every element when n * max_step_length <= radius; otherwise
@@ -532,7 +498,7 @@ def n_step_distribution(walk: WalkSpec, n: int, radius: int,
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    ball = shared_ball(walk.group, radius, cap)
+    ball = shared_ball(walk.group, radius)
     op = BallOperator.on_ball(walk, ball)
     vec = op.start_vector()
     dropped = 0.0
@@ -545,8 +511,7 @@ def n_step_distribution(walk: WalkSpec, n: int, radius: int,
     return out, dropped
 
 
-def harnack_scan(table: KernelTable, radius: int,
-                 cap: int = BALL_CAP_DEFAULT) -> float:
+def harnack_scan(table: KernelTable, radius: int) -> float:
     """Empirical Harnack constant on the covered ball.
 
     C = max over x, y, z in B(e, radius) of (G(x,z)/G(y,z))^(1/d(x,y));
@@ -558,8 +523,8 @@ def harnack_scan(table: KernelTable, radius: int,
             f">= {2 * radius}, have {table.radius}"
         )
     G = table.walk.group
-    ball = shared_ball(G, radius, cap)
-    pair_ball = shared_ball(G, 2 * radius, cap)
+    ball = shared_ball(G, radius)
+    pair_ball = shared_ball(G, 2 * radius)
     elements = ball.elements
     inverses = [G.inv(x) for x in elements]
     index, depth = pair_ball.index, pair_ball.depth.tolist()

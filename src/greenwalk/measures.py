@@ -140,9 +140,6 @@ class MeasureModel:
     # converged sample count; lets aggregated cells use the exact binomial
     # standard error instead of a root-sum over children
     n_eff: int = 0
-    # for dirac atoms at scanned spine points: the spine scan's maxDev,
-    # bounding how far K(g, atom) may sit from 1
-    atom_kernel_dev: float = 0.0
 
     def __post_init__(self):
         if self.kind != "cylinder":
@@ -186,11 +183,9 @@ class MeasureModel:
                             nonconverged=nonconverged, note=note, n_eff=n_eff)
 
     @staticmethod
-    def dirac(G: GroupModel, xi, atom, note: str = "",
-              atom_kernel_dev: float = 0.0) -> "MeasureModel":
+    def dirac(G: GroupModel, xi, atom, note: str = "") -> "MeasureModel":
         """Unit atom at xi; `atom` is the label of the cell containing it."""
-        return MeasureModel("dirac", G, xi=xi, atom=atom, note=note,
-                            atom_kernel_dev=atom_kernel_dev)
+        return MeasureModel("dirac", G, xi=xi, atom=atom, note=note)
 
     # -- mass queries ----------------------------------------------------------
 

@@ -18,12 +18,12 @@ def block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed), counter=[0, 0, 0, np.uint64(block)]))
 
 
-def block_count(n_items: int, block_size: int = BLOCK_SIZE) -> int:
-    return (n_items + block_size - 1) // block_size
+def block_count(n_items: int) -> int:
+    return (n_items + BLOCK_SIZE - 1) // BLOCK_SIZE
 
 
-def block_bounds(block: int, n_items: int, block_size: int = BLOCK_SIZE):
+def block_bounds(block: int, n_items: int):
     """Half-open item range [lo, hi) covered by one block."""
-    lo = block * block_size
-    hi = min(n_items, lo + block_size)
+    lo = block * BLOCK_SIZE
+    hi = min(n_items, lo + BLOCK_SIZE)
     return lo, hi

@@ -35,8 +35,7 @@ from .walks import WalkSpec
 
 STABLE_STEPS = 50
 ESCAPE_SLACK = 20
-WREATH_WINDOW = 2
-WREATH_WINDOW_STORE = WREATH_WINDOW + 3
+WREATH_WINDOW_STORE = 5  # wreath bins hold the lamps on [-5, 5]
 MAX_NONCONVERGED = 0.01
 
 
@@ -334,9 +333,9 @@ def harmonic_measure_estimate(w: WalkSpec, depth: int, n_samples: int,
 
     Free groups return a depth-D cylinder measure, lattices (d=1) the
     two-end bins, wreath groups window bins (drift sign, lamp pattern on
-    [-5, 5], reported at window 2); per-cell standard errors are binomial
-    in the converged count.  A non-convergence rate above 1% aborts with
-    the rate in the report.
+    [-5, 5], the window bins are stored and reported on); per-cell
+    standard errors are binomial in the converged count.  A
+    non-convergence rate above 1% aborts with the rate in the report.
     """
     if n_samples < 1000:
         raise ValueError("need at least 1000 samples")

@@ -25,8 +25,8 @@ from .groups import (
 )
 
 PROB_SUM_TOL = 1e-12
-GENERATION_RADIUS_DEFAULT = 3
-GENERATION_STEPS_DEFAULT = 12
+GENERATION_RADIUS = 3
+GENERATION_STEPS = 12
 
 
 @dataclass(frozen=True)
@@ -79,14 +79,12 @@ class WalkSpec:
         return tuple(drift)
 
 
-def make_walk(group: GroupModel, steps: dict, name: str = "",
-              generation_radius: int = GENERATION_RADIUS_DEFAULT,
-              generation_steps: int = GENERATION_STEPS_DEFAULT) -> WalkSpec:
+def make_walk(group: GroupModel, steps: dict, name: str = "") -> WalkSpec:
     """Validate and freeze a walk specification.
 
     Probabilities must be positive and sum to 1 within 1e-12, and the
-    support must reach every element of ball(generation_radius) using at
-    most generation_steps factors.
+    support must reach every element of ball(GENERATION_RADIUS) using at
+    most GENERATION_STEPS factors.
     """
     if not steps:
         raise ConfigError("walk needs at least one step", "steps")
@@ -108,7 +106,7 @@ def make_walk(group: GroupModel, steps: dict, name: str = "",
         sorted(steps.items(), key=lambda kv: serialize_element(group, kv[0]))
     )
     walk = WalkSpec(group, ordered, name)
-    cert = generation_certificate(walk, generation_radius, generation_steps)
+    cert = generation_certificate(walk, GENERATION_RADIUS, GENERATION_STEPS)
     if not cert.covered:
         missing = ", ".join(
             serialize_element(group, m) for m in cert.missing[:4]
@@ -218,9 +216,6 @@ def product_walk(left: WalkSpec, right: WalkSpec, a: float) -> WalkSpec:
             steps[GroupElement("product", (e0, s))] = (1.0 - a) * p
     name = f"product:{a:g},{left.name or left.group.spec()},{right.name or right.group.spec()}"
     return make_walk(G, steps, name=name)
-
-
-_FIXED_ARITY = {"srw-free": 1, "drift-z": 1, "wreath-walk": 3}
 
 
 def named_walk(spec: str) -> WalkSpec:

@@ -181,6 +181,21 @@ def test_phi_rejects_bad_measure(capsys, tmp_path):
     assert main(["phi", "--config", cfg]) == 64
 
 
+def test_conformal_wreath_batteries_unsupported(capsys, tmp_path):
+    # no pullback rule translates the binned wreath exit law: both
+    # batteries say so in the report and the verdict fails with exit 2
+    cfg = write_config(tmp_path, "c.json",
+                       {"walk": "wreath-walk:2,0.75,0.4", "samples": 2000,
+                        "depth": 2, "radius": 4})
+    code, report = run_json(capsys, ["conformal", "--config", cfg])
+    assert code == 2
+    assert report["verdict"] == "none"
+    batteries = {k: v for row in report["residuals"] for k, v in row.items()}
+    for beta in ("beta0", "beta1"):
+        assert "no pullback rule" in batteries[beta]["unsupported"]
+        assert batteries[beta]["pass"] is False
+
+
 def test_product_report(capsys, tmp_path):
     cfg = write_config(tmp_path, "c.json",
                        {"samples": 2000, "depth": 2, "radius": 4})

@@ -17,6 +17,7 @@ from greenwalk.conformal import (
     normalization_check,
     phi_curve,
     phi_map_pushforward_check,
+    stationarity_residual,
 )
 from greenwalk.errors import PartitionError, UnsupportedGroupError
 from greenwalk.groups import GroupElement, GroupModel, parse_element
@@ -27,6 +28,7 @@ from greenwalk.measures import (
     tree_exit_measure,
     uniform_depth1_measure,
 )
+from greenwalk.sampler import harmonic_measure_estimate
 from greenwalk.walks import product_walk, srw_free, wreath_walk
 
 F2 = GroupModel.free(2)
@@ -118,6 +120,20 @@ def test_binned_residual_requires_kernels(t_drift):
     # but beta = 0 needs none
     res, err = conformality_residual(t_drift, m, 0.0, one, "-inf")
     assert res == 0.0
+
+
+def test_binned_wreath_has_no_pullback_rule(t_wreath):
+    # the sampled wreath exit law is binned by drift sign and lamp window;
+    # no rule translates those bins, so both residuals refuse
+    w = t_wreath.walk
+    m = harmonic_measure_estimate(w, 2, 2000, 7)
+    B = m.cells()[0]
+    g = w.group.generators()[0]
+    for beta in (0.0, 1.0):
+        with pytest.raises(UnsupportedGroupError, match="no pullback rule"):
+            conformality_residual(t_wreath, m, beta, g, B)
+    with pytest.raises(UnsupportedGroupError, match="no pullback rule"):
+        stationarity_residual(w, m, B)
 
 
 def test_normalization_check(t_f2, m_exact):

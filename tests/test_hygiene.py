@@ -1,9 +1,12 @@
-"""Source hygiene: no dead top-level imports, and a public API that resolves.
+"""Source hygiene: no dead top-level imports, private names or defaulted
+parameters, and a public API that resolves.
 
-Both checks read the package with the stdlib `ast` module only.  An
+The checks read the package with the stdlib `ast` module only.  An
 import that a module never uses is either dead code or a silent
 re-export; `__init__.py` is the one module whose job is re-exporting, so
-it is checked through `__all__` instead.
+it is checked through `__all__` instead.  A private module-level name
+that no module reads is dead, and so is a parameter with a default that
+its function never reads: every caller passes a value that goes nowhere.
 """
 
 import ast
@@ -33,17 +36,76 @@ def _used_names(tree: ast.Module) -> set:
     return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
+def _modules() -> dict:
+    """{file name: parsed module} for every module of the package."""
+    return {path.name: ast.parse(path.read_text(), filename=str(path))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _read_names(tree: ast.AST) -> set:
+    """Names the code reads: loaded names, attributes and imported names."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def _private_top_level(tree: ast.Module) -> dict:
+    """{name: line} for the module's private top-level definitions."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for n in node.targets for t in ast.walk(n)
+                       if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                out[name] = node.lineno
+    return out
+
+
 def test_no_unused_top_level_imports():
     unused = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
+    for name, tree in _modules().items():
+        if name == "__init__.py":
             continue
-        tree = ast.parse(path.read_text(), filename=str(path))
         used = _used_names(tree)
-        unused += [f"{path.name}:{line} {name}"
-                   for name, line in _imported_names(tree).items()
-                   if name not in used]
+        unused += [f"{name}:{line} {imported}"
+                   for imported, line in _imported_names(tree).items()
+                   if imported not in used]
     assert not unused, unused
+
+
+def test_no_unread_private_names():
+    modules = _modules()
+    read = set().union(*map(_read_names, modules.values()))
+    unread = [f"{name}:{line} {private}"
+              for name, tree in modules.items()
+              for private, line in _private_top_level(tree).items()
+              if private not in read]
+    assert not unread, unread
+
+
+def test_no_unread_defaulted_parameters():
+    unread = []
+    for name, tree in _modules().items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            args = fn.args.args
+            defaulted = args[len(args) - len(fn.args.defaults):]
+            read = _read_names(ast.Module(body=fn.body, type_ignores=[]))
+            unread += [f"{name}:{fn.lineno} {fn.name}({a.arg})"
+                       for a in defaulted if a.arg not in read]
+    assert not unread, unread
 
 
 def test_public_names_resolve():

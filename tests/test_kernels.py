@@ -18,7 +18,6 @@ from greenwalk.groups import (
     shared_ball,
 )
 from greenwalk.kernels import (
-    BALL_CAP_DEFAULT,
     BallOperator,
     _absorbing_green_row,
     _build_solve,
@@ -389,7 +388,7 @@ def test_entry_error_covers_f2_closed_form():
     # the isotropic walk normally takes the radial chain; the ball route is
     # the one whose error bar is in question
     walk = srw_free(2)
-    t = _build_solve(walk, 4, 1e-6, 4, BALL_CAP_DEFAULT)
+    t = _build_solve(walk, 4, 4)
     exposed = shared_ball(walk.group, 4).elements
     assert len(exposed) == 161
     for g in exposed:
