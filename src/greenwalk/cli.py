@@ -59,17 +59,22 @@ EXIT_VERDICT = 2
 EXIT_RESOURCE = 3
 EXIT_USAGE = 64
 
-_COMMON_KEYS = {"walk", "seed", "workers", "out", "format", "tolerance"}
+_COMMON_KEYS = {"walk", "out", "format"}
+# each subcommand's own keys: seed, workers and tolerance only where read
 _SUB_KEYS = {
     "green": {"radius", "method"},
-    "martin": {"radius", "g", "h", "end"},
-    "harmonic": {"depth", "samples", "horizon"},
+    "martin": {"radius", "g", "h", "end", "tolerance"},
+    "harmonic": {"depth", "samples", "horizon", "seed", "workers"},
     "spine-scan": {"radius", "scan_radius", "n_terms"},
-    "conformal": {"radius", "scan_radius", "depth", "samples"},
-    "phi": {"radius", "depth", "samples", "measure", "power", "grid"},
-    "kms": {"radius", "depth", "samples", "beta", "f1", "g1", "f2", "g2"},
-    "product": {"radius", "depth", "samples", "pushforward"},
-    "suite": {"samples"},
+    "conformal": {"radius", "scan_radius", "depth", "samples", "seed",
+                  "workers"},
+    "phi": {"radius", "depth", "samples", "measure", "power", "grid",
+            "seed", "workers"},
+    "kms": {"radius", "depth", "samples", "beta", "f1", "g1", "f2", "g2",
+            "seed", "workers"},
+    "product": {"radius", "depth", "samples", "pushforward", "seed",
+                "workers"},
+    "suite": {"samples", "seed", "workers"},
 }
 _SCAN_RADIUS_DEFAULT = {"free": 3, "lattice": 6, "wreath": 2, "product": 2}
 
@@ -88,14 +93,15 @@ def _build_parser() -> _Parser:
                 description="kernel tables, boundary measures, and "
                             "conformality reports for group random walks")
     sub = p.add_subparsers(dest="command", required=True)
-    for name in _SUB_KEYS:
+    for name, keys in _SUB_KEYS.items():
         s = sub.add_parser(name, add_help=True)
         s.add_argument("--config", help="JSON config file")
-        s.add_argument("--seed", type=int)
-        s.add_argument("--workers", type=int)
         s.add_argument("--out", help="report path (stdout when omitted)")
         s.add_argument("--format", choices=["json", "csv"])
-        s.add_argument("--tolerance", type=float)
+        for flag, kind in (("seed", int), ("workers", int),
+                           ("tolerance", float)):
+            if flag in keys:
+                s.add_argument(f"--{flag}", type=kind)
     return p
 
 
@@ -124,7 +130,7 @@ def _merge_config(args) -> dict:
                 f"unknown config key {key!r} for subcommand "
                 f"{args.command!r}", key)
     for flag in ("seed", "workers", "out", "format", "tolerance"):
-        val = getattr(args, flag)
+        val = getattr(args, flag, None)
         if val is not None:
             cfg[flag] = val
     return cfg

@@ -4,20 +4,22 @@ Supported groups: free groups F_k (reduced words), lattices Z^d (integer
 vectors), wreath products Z_q wr Z (finitely supported lamp configurations
 together with a position), and direct products of any two of these.
 
-Elements are immutable and hashable; every model fixes one canonical
-representation per element, so dict/set membership is exact.  Word
-lengths have a closed form for every kind (`word_length`); a `Ball` holds
-every element up to a radius with its word length and its Cayley-graph
-neighbours, and every ball is sized exactly before it is enumerated.
+Elements are immutable and hashable tuples; every model fixes one
+canonical representation per element, so dict/set membership is exact.
+Word lengths have a closed form for every kind (`word_length`); a `Ball`
+holds every element up to a radius with its word length and its
+Cayley-graph neighbours, and every ball is sized exactly before it is
+searched, on integer codes (`_Codes`) or from its factor balls.
 """
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import repeat
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,9 +30,8 @@ BALL_CAP_DEFAULT = 5_000_000
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
-@dataclass(frozen=True, slots=True)
-class GroupElement:
-    """One canonical group element.
+class GroupElement(NamedTuple):
+    """One canonical group element; a tuple, so it hashes and compares in C.
 
     data layout by kind:
       free     -- reduced word, tuple of nonzero ints (+i generator, -i inverse)
@@ -45,6 +46,10 @@ class GroupElement:
 
     def __repr__(self):
         return f"GroupElement({self.kind}, {self.data!r})"
+
+
+# GroupElement(kind, data) from the pair (kind, data), in C
+_element = partial(tuple.__new__, GroupElement)
 
 
 @dataclass(frozen=True)
@@ -425,14 +430,13 @@ def ball_enumerate(G: GroupModel, radius: int,
                    cap: int = BALL_CAP_DEFAULT) -> Ball:
     """The ball B(e, radius); products come from `_product_ball`.
 
-    Otherwise a breadth-first search on canonical `data` tuples multiplies
-    every element, the outermost sphere's too, on the right by each
-    generator once with `_dmul`; the products fill `Ball.neighbours`.  No
-    `check` runs: products of canonical data are canonical, so elements
-    are checked where they enter the package (parsers, constructors, the
-    public `mul` and `inv`).  Raises ResourceLimitError when more than
-    `cap` elements would be produced, from the ball's exact size and
-    before the search.
+    Otherwise a ball of more than `cap` elements raises ResourceLimitError
+    from its exact size, before any search.  `_code_search` then finds the
+    ball on integer codes of as many int64 words as the group and radius
+    need (`_Codes`), one vectorised step per sphere, and fills
+    `Ball.neighbours`; each element's `data` and serialized form are
+    decoded from its code once.  No `check` runs: elements are checked
+    where they enter the package (parsers, constructors, `mul`, `inv`).
     """
     if radius < 0:
         raise ConfigError(f"ball radius must be >= 0, got {radius}", "radius")
@@ -448,34 +452,175 @@ def ball_enumerate(G: GroupModel, radius: int,
         size = _wreath_ball_size(G.params[0], radius)
     if size > cap:
         raise _cap_error(G, radius, cap)
-    gens = [s.data for s in G.generators()]
-    mul = G._dmul
-    order = [G.identity()]  # elements by BFS id
-    ids = {order[0].data: 0}  # canonical data -> BFS id
-    nbr = array("i")  # row-major (BFS id, generator) -> BFS id or -1
-    starts = []  # BFS id of the first element at each distance
-    lo = 0
-    for dist in range(radius + 1):
-        hi = len(order)
-        starts.append(lo)
-        grow = dist < radius
-        for i in range(lo, hi):
-            a = order[i].data
-            for s in gens:
-                b = mul(a, s)
-                j = ids.get(b, -1)
-                if j < 0 and grow:
-                    j = len(order)
-                    ids[b] = j
-                    order.append(GroupElement(G.kind, b))
-                nbr.append(j)
-        lo = hi
-    del ids
-    n = len(order)
-    depth = np.searchsorted(starts, np.arange(n), side="right") - 1
-    table = np.frombuffer(nbr, dtype=np.int32).reshape(n, len(gens))
-    return _sorted_ball(G, radius, [_serialize(G, a) for a in order],
-                        order.__getitem__, depth, table)
+    codes = _Codes(G, radius)
+    rows, sizes, table = _code_search(codes)
+    keys, data = codes.decode(rows)
+    del rows
+    return _sorted_ball(G, radius, keys, data,
+                        np.repeat(np.arange(radius + 1), sizes), table)
+
+
+class _Codes:
+    """Integer codes of the elements of B(radius) on a free, lattice or
+    wreath group: rows of digits, packed into as few int64 words as the
+    radices allow.
+
+    Free: column i >= 1 holds letter i, generator j (in `generators()`
+    order) as digit j + 1 and 0 past the end; column 0 is a radix-1 stub,
+    so a word of length t ends in column t.  Lattice: column i holds
+    coordinate i plus radius + 1.  Wreath: column 0 holds pos plus
+    radius + 1, which is the column of the lamp at pos; the lamp columns
+    cover the sites [-radius, radius].  The radices leave room for every
+    step from the outermost sphere, whose code is then found absent.
+    """
+
+    def __init__(self, G: GroupModel, radius: int):
+        self.G, self.radius, r, n = G, radius, radius, G.params[0]
+        radix, zero = {
+            "free": ([1] + [2 * n + 1] * (r + 1), [0] * (r + 2)),
+            "lattice": ([2 * r + 3] * n, [r + 1] * n),
+            "wreath": ([2 * r + 3] + [n] * (2 * r + 1),
+                       [r + 1] + [0] * (2 * r + 1)),
+        }[G.kind]
+        word, mult, w, m = [], [], 0, 1
+        for b in radix:
+            if m * b > 2**63:
+                w, m = w + 1, 1
+            word.append(w)
+            mult.append(m)
+            m *= b
+        self.radix, self.word, self.mult = (
+            np.array(x, dtype=np.int64) for x in (radix, word, mult))
+        self.identity = np.zeros((1, w + 1), dtype=np.int64)
+        np.add.at(self.identity[0], self.word, np.array(zero) * self.mult)
+
+    def digit(self, rows: np.ndarray, col) -> np.ndarray:
+        """Digit `col` (one column, or one per row) of each row."""
+        word = rows[np.arange(len(rows)), self.word[col]]
+        return word // self.mult[col] % self.radix[col]
+
+    def _add(self, rows: np.ndarray, col, delta) -> np.ndarray:
+        out = rows.copy()
+        out[np.arange(len(rows)), self.word[col]] += delta * self.mult[col]
+        return out
+
+    def steps(self, rows: np.ndarray, t: int) -> np.ndarray:
+        """The codes of a * s for the elements a of word length t coded by
+        `rows` and each generator s, shape (len(rows), |gens|, words)."""
+        n = self.G.params[0]
+        if self.G.kind == "lattice":
+            out = [self._add(rows, i, s) for i in range(n) for s in (1, -1)]
+        elif self.G.kind == "wreath":
+            at = self.digit(rows, 0)
+            lamp = self.digit(rows, at)
+            out = [self._add(rows, 0, 1), self._add(rows, 0, -1)]
+            out += [self._add(rows, at, (lamp + u) % n - lamp)
+                    for u in range(1, n)]
+        else:
+            last = self.digit(rows, t)
+            out = []
+            for j in range(2 * n):
+                pop = last == (j ^ 1) + 1  # s cancels the last letter
+                out.append(self._add(rows, np.where(pop, t, t + 1),
+                                     np.where(pop, -last, j + 1)))
+        return np.stack(out, axis=1)
+
+    def decode(self, rows: np.ndarray) -> tuple[list, list]:
+        """The serialized forms and `data` tuples of the coded elements.
+
+        Each nonzero digit but wreath column 0 is a letter, a coordinate or
+        a lit lamp, and `value` and `text` give its part of the `data` and
+        of the serialized form.  A wreath lamp configuration is decoded
+        once for all the positions it occurs with.
+        """
+        G, r, n = self.G, self.radius, self.G.params[0]
+        if G.kind == "wreath":
+            pos = self.digit(rows, 0)
+            rows = self._add(rows, 0, -pos)
+            order, first = _row_runs(rows)
+            config = np.empty(len(rows), dtype=np.int64)
+            config[order] = np.cumsum(first) - 1
+            rows = rows[order[first]]
+        digits = np.empty((len(rows), len(self.radix)),
+                          np.min_scalar_type(int(self.radix.max()) - 1))
+        for col in range(len(self.radix)):
+            digits[:, col] = self.digit(rows, col)
+        stride, sep = 0, ","
+        if G.kind == "free":
+            value = [0] + [s * i for i in range(1, n + 1) for s in (1, -1)]
+            text = [""] + [_serialize(G, GroupElement("free", (x,)))
+                           for x in value[1:]]
+            sep = "" if n <= 26 else "."
+        elif G.kind == "lattice":
+            value = list(range(-r - 1, r + 2))
+            text = [str(x) for x in value]
+        else:
+            stride, digits = n, digits[:, 1:]
+            value = [(s, v) for s in range(-r, r + 1) for v in range(n)]
+            text = [f"{s}:{v}" for s, v in value]
+        at, cols = np.nonzero(digits)
+        flat = (cols * stride + digits[at, cols]).tolist()
+        ends = np.cumsum(np.count_nonzero(digits, axis=1)).tolist()
+        del digits, at, cols
+        vals, body = [], []
+        for a, b in zip([0] + ends, ends):
+            part = flat[a:b]
+            vals.append(tuple(map(value.__getitem__, part)))
+            body.append(sep.join(map(text.__getitem__, part)))
+        del flat
+        if G.kind == "free":
+            return [t or "e" for t in body], vals
+        if G.kind == "lattice":
+            return ["(" + t + ")" for t in body], vals
+        config, pos = config.tolist(), (pos - (r + 1)).tolist()
+        head = ["{" + t + "}@" for t in body]
+        return ([head[c] + str(p) for c, p in zip(config, pos)],
+                [(vals[c], p) for c, p in zip(config, pos)])
+
+
+def _code_search(codes: _Codes) -> tuple[np.ndarray, list, np.ndarray]:
+    """The codes of B(radius) sphere by sphere, the sphere sizes, and the
+    neighbour table in that order (-1 outside the ball).
+
+    A generator moves the word length by at most one, so the next sphere
+    is the distinct products of the current one that lie in neither it
+    nor the previous one.  The neighbour of a product is the ball code at
+    the head of its run when ball and product codes are sorted together.
+    """
+    cur = codes.identity
+    prev = cur[:0]
+    spheres, steps = [], []
+    for t in range(codes.radius + 1):
+        spheres.append(cur)
+        steps.append(codes.steps(cur, t))
+        if t < codes.radius:
+            rows = np.concatenate([prev, cur,
+                                   steps[-1].reshape(-1, cur.shape[1])])
+            order, first = _row_runs(rows)
+            old = len(prev) + len(cur)
+            prev, cur = cur, rows[order[first & (order >= old)]]
+    ball = np.concatenate(spheres)
+    n = len(ball)
+    rows = np.concatenate([ball] + [s.reshape(-1, ball.shape[1])
+                                    for s in steps])
+    del steps
+    order, first = _row_runs(rows)
+    head = order[np.maximum.accumulate(
+        np.where(first, np.arange(len(rows)), 0))]
+    table = np.empty(len(rows) - n, dtype=np.int32)
+    query = order >= n
+    table[order[query] - n] = np.where(head < n, head, -1)[query]
+    return ball, [len(s) for s in spheres], table.reshape(n, -1)
+
+
+def _row_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A stable order of `rows` that puts equal rows together, and whether
+    each row in that order is the first of its run."""
+    order = np.lexsort(rows.T)
+    ordered = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return order, first
 
 
 def _wreath_ball_size(q: int, radius: int) -> int:
@@ -536,19 +681,21 @@ def _product_ball(G: GroupModel, radius: int, cap: int) -> Ball:
     I, J = I.tolist(), J.tolist()
     keys = ["[" + sl[i] + ";" + sr[j] + "]" for i, j in zip(I, J)]
     left, right = L.elements, R.elements
-    return _sorted_ball(
-        G, radius, keys,
-        lambda k: GroupElement("product", (left[I[k]], right[J[k]])),
-        dl[I] + dr[J], table)
+    return _sorted_ball(G, radius, keys,
+                        [(left[i], right[j]) for i, j in zip(I, J)],
+                        dl[I] + dr[J], table)
 
 
-def _sorted_ball(G: GroupModel, radius: int, keys: list, element,
+def _sorted_ball(G: GroupModel, radius: int, keys: list, data: list,
                  depth: np.ndarray, table: np.ndarray) -> Ball:
-    """The Ball of the elements element(k) with serialized forms keys[k],
-    word lengths depth[k] and neighbour ids table[k] (-1 outside)."""
+    """The Ball of the elements with `data` tuples data[k], serialized
+    forms keys[k], word lengths depth[k] and neighbour ids table[k] (-1
+    outside).  Empties `keys`, which nothing reads past the sort."""
     n = len(keys)
     perm = sorted(range(n), key=keys.__getitem__)
-    elements = tuple(map(element, perm))
+    keys.clear()
+    elements = tuple(map(_element, zip(repeat(G.kind),
+                                        map(data.__getitem__, perm))))
     gen_id = np.array(perm, dtype=np.int32)  # position -> generation id
     del perm
     rank = np.empty(n + 1, dtype=np.int32)  # generation id -> position

@@ -40,7 +40,6 @@ import scipy.sparse
 from .errors import (
     PrecisionError,
     RangeError,
-    ResourceLimitError,
     TransienceError,
 )
 from .groups import Ball, GroupElement, shared_ball
@@ -50,8 +49,6 @@ RHO_SAFETY = 1.05
 RHO_GATE = 1.0 - 1e-6
 SERIES_EPS = 1e-6
 SERIES_N_CAP = 20_000
-# ball cap of the spectral-radius probe, which shrinks its radius past it
-SPECTRAL_PROBE_CAP = 250_000
 
 RADIUS_DEFAULTS = {"free": 8, "lattice": 20, "wreath": 10, "product": 6}
 MARGIN_DEFAULTS = {"free": 6, "lattice": 60, "wreath": 8, "product": 2}
@@ -440,54 +437,6 @@ def _series_accumulate(op, exposed_idx, eps: float):
 
 
 # -- free-standing operations -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SpectralRadiusEstimate:
-    rho_hat: float
-    n_max: int
-    even_monotone: bool
-    history: tuple
-
-
-def spectral_radius_estimate(walk: WalkSpec,
-                             n_max: int = 200) -> SpectralRadiusEstimate:
-    """rho_hat = (mu^n(e,e))^{1/n} along the even subsequence.
-
-    For symmetric walks the even subsequence increases to the true
-    spectral radius, so rho_hat is a lower estimate; the monotonicity
-    flag records whether that certificate held on this run.  Paths
-    contributing to a length-n return stay inside B(e, n/2 * max step),
-    so a working radius of that size makes the returns exact; on groups
-    where such a ball is unaffordable the radius shrinks and the returns
-    (still lower bounds) may dent the monotonicity flag.
-    """
-    if n_max < 4:
-        raise ValueError("n_max must be at least 4")
-    if walk.is_isotropic_free_srw:
-        op = RadialChainOperator(walk.group.params[0], n_max // 2 + 4)
-    else:
-        radius = (n_max // 2) * walk.max_step_length()
-        op = None
-        while radius > 4:
-            try:
-                op = BallOperator.on_ball(
-                    walk, shared_ball(walk.group, radius, SPECTRAL_PROBE_CAP))
-                break
-            except ResourceLimitError:
-                radius = max(4, radius * 2 // 3)
-        if op is None:
-            op = BallOperator.on_ball(walk, shared_ball(walk.group, radius))
-    vec = op.start_vector()
-    hist = []
-    for n in range(1, n_max + 1):
-        vec, _ = op.convolve(vec)
-        if n % 2 == 0 and vec[op.start] > 0:
-            hist.append((n, float(vec[op.start]) ** (1.0 / n)))
-    estimates = [r for _, r in hist]
-    monotone = all(b >= a - 1e-12 for a, b in zip(estimates, estimates[1:]))
-    return SpectralRadiusEstimate(estimates[-1] if hist else 0.0, n_max,
-                                  monotone, tuple(hist))
 
 
 def n_step_distribution(walk: WalkSpec, n: int, radius: int):

@@ -121,12 +121,19 @@ def make_walk(group: GroupModel, steps: dict, name: str = "") -> WalkSpec:
 
 def generation_certificate(walk: WalkSpec, radius: int,
                            max_steps: int) -> GenerationCertificate:
-    """Check semigroup generation of a reference ball by the support."""
+    """Check semigroup generation of a reference ball by the support.
+
+    A support that holds every generator reaches each element of the ball
+    along a geodesic, so it covers the ball in `radius` steps with no
+    search; any other support is searched breadth-first.
+    """
     G = walk.group
+    support = walk.support()
+    if max_steps >= radius and set(G.generators()) <= set(support):
+        return GenerationCertificate(radius, max_steps, True, ())
     target = set(ball_enumerate(G, radius).elements)
     reached = {G.identity()}
     frontier = [G.identity()]
-    support = walk.support()
     for _ in range(max_steps):
         if target <= reached:
             break

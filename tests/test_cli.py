@@ -239,14 +239,37 @@ def test_suite_small(tmp_path, capsys):
     ("green", {"walk": "srw-free:x"}),
     ("green", {"walk": "{not json"}),
     ("harmonic", {"samples": 1000, "depth": 2, "horizon": 10_000_000}),
+    # keys that the subcommand would not read
+    ("green", {"seed": 3}),
+    ("martin", {"g": "a", "end": "end:b", "workers": 2}),
+    ("spine-scan", {"seed": 3, "workers": 1}),
+    ("harmonic", {"samples": 1000, "depth": 2, "tolerance": 1e-3}),
+    ("suite", {"tolerance": 1e-3}),
 ], ids=["martin-end", "phi-grid", "phi-grid-nan", "phi-grid-inf",
         "phi-grid-neg-inf", "phi-grid-huge-int", "walk-p", "martin-g-int", "martin-end-int",
-        "walk-no-p", "walk-name-arg", "walk-json-text", "horizon-too-long"])
+        "walk-no-p", "walk-name-arg", "walk-json-text", "horizon-too-long",
+        "green-seed", "martin-workers", "spine-scan-seed", "harmonic-tolerance",
+        "suite-tolerance"])
 def test_malformed_input_exits_usage(capsys, tmp_path, command, payload):
     cfg = write_config(tmp_path, "c.json", payload)
     assert main([command, "--config", cfg]) == 64
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("green", "--seed"), ("green", "--workers"), ("green", "--tolerance"),
+    ("martin", "--seed"), ("martin", "--workers"), ("spine-scan", "--seed"),
+    ("spine-scan", "--workers"), ("harmonic", "--tolerance"),
+    ("kms", "--tolerance"), ("suite", "--tolerance"),
+])
+def test_unread_flag_exits_usage(capsys, command, flag):
+    """A flag that the subcommand would not read is a usage error that
+    names it, not a value silently dropped."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, "1"])
+    assert exc.value.code == 64
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
 def test_suite_stdout_is_json(capsys, monkeypatch):
@@ -272,9 +295,10 @@ _VALID_CONFIGS = [
     ("green", {"walk": {"group": "free:2", "name": "srw",
                         "steps": [{"elem": s, "p": 0.25} for s in "aAbB"]},
                "radius": 3, "method": "linear-solve", "out": "REPORT",
-               "format": "json", "seed": 7}),
+               "format": "json"}),
     ("kms", {"walk": "srw-free:2", "radius": 3, "depth": 2, "samples": 1000,
-             "workers": 1, "beta": 1.0, "g1": "a", "f1": "a", "f2": "b"}),
+             "seed": 7, "workers": 1, "beta": 1.0, "g1": "a", "f1": "a",
+             "f2": "b"}),
     ("phi", {"walk": "srw-free:2", "radius": 3, "measure": "exact",
              "depth": 2, "power": 1, "grid": [0.0, 1.0]}),
 ]

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from greenwalk import groups
 from greenwalk.errors import ConfigError, RepresentationError, ResourceLimitError
 from greenwalk.groups import (
     GroupElement,
     GroupModel,
+    _Codes,
     _wreath_ball_size,
     ball_enumerate,
     parse_element,
@@ -157,11 +159,11 @@ def test_ball_cap_trips_past_exact_size(G):
 def test_free_and_lattice_cap_trips_before_enumerating(G, radius,
                                                        monkeypatch):
     """Every kind, wreath products included (wreath:2 at radius 30 has
-    29,569,464 elements), is sized exactly before the first multiply."""
-    def no_multiply(self, a, b):
+    29,569,464 elements), is sized exactly before the code search."""
+    def no_search(codes):
         raise AssertionError("ball search ran past the cap")
 
-    monkeypatch.setattr(GroupModel, "_dmul", no_multiply)
+    monkeypatch.setattr(groups, "_code_search", no_search)
     with pytest.raises(ResourceLimitError, match=re.escape(G.spec())):
         ball_enumerate(G, radius)
 
@@ -206,14 +208,21 @@ def _reference_ball(G, radius):
     return elements, depth, neighbours, index, length
 
 
-@pytest.mark.parametrize("spec", [
-    "free:2", "free:3", "lattice:1", "lattice:3", "wreath:2", "wreath:3",
-    "product(wreath:2,free:2)", "product(lattice:1,wreath:3)",
-    "product(product(free:2,lattice:1),wreath:2)",
+# radii 0-4 of each kind, then the benchmark's balls (wreath:2 radius 15,
+# the product at radius 7) and balls whose codes take two int64 words
+@pytest.mark.parametrize("spec, radii", [
+    pytest.param(spec, range(5), id=spec) for spec in [
+        "free:2", "free:3", "lattice:1", "lattice:3", "wreath:2", "wreath:3",
+        "product(wreath:2,free:2)", "product(lattice:1,wreath:3)",
+        "product(product(free:2,lattice:1),wreath:2)"]
+] + [
+    pytest.param(spec, [radius], id=f"{spec}-r{radius}")
+    for spec, radius in [("free:2", 7), ("wreath:2", 15), ("wreath:5", 6),
+                         ("lattice:40", 2), ("product(wreath:2,free:2)", 7)]
 ])
-def test_ball_matches_reference_bfs(spec):
+def test_ball_matches_reference_bfs(spec, radii):
     G = parse_group(spec)
-    for radius in range(5):
+    for radius in radii:
         ball = ball_enumerate(G, radius)
         elements, depth, neighbours, index, length = _reference_ball(G, radius)
         assert ball.elements == elements
@@ -223,6 +232,17 @@ def test_ball_matches_reference_bfs(spec):
         assert ball.index == index
         assert _lengths(ball) == length
         assert all(word_length(G, a) == length[a] for a in elements)
+
+
+@pytest.mark.parametrize("spec, radius, words", [
+    ("free:2", 7, 1), ("wreath:2", 15, 1), ("lattice:40", 2, 2),
+    ("wreath:7", 11, 2),
+])
+def test_code_words(spec, radius, words):
+    """A code takes as many int64 words as its digits need: lattice:40 at
+    radius 2 has 40 base-7 digits, wreath:7 at radius 11 (1,643,669
+    elements) a base-25 position and 23 base-7 lamps."""
+    assert _Codes(parse_group(spec), radius).identity.shape == (1, words)
 
 
 @pytest.mark.parametrize("spec, radius", [
@@ -253,6 +273,38 @@ def test_ball_neighbours_match_mul(spec):
     assert ball.elements == tuple(
         sorted(ball.elements, key=lambda a: serialize_element(G, a)))
     assert all(ball.index[a] == i for i, a in enumerate(ball.elements))
+
+
+def test_group_element_is_an_immutable_tuple():
+    g = parse_element(W, "{0:1,3:1}@-2")
+    assert repr(g) == "GroupElement(wreath, (((0, 1), (3, 1)), -2))"
+    assert repr(F2.identity()) == "GroupElement(free, ())"
+    with pytest.raises(AttributeError):
+        g.data = ((), 0)
+    with pytest.raises(AttributeError):
+        g.label = "x"
+    assert GroupElement("free", (1,)) != GroupElement("lattice", (1,))
+    assert GroupElement("free", ()) != GroupElement("wreath", ())
+
+
+@pytest.mark.parametrize("spec, text, gens", [
+    ("free:2", "aB", [0, 3]),
+    ("wreath:2", "{-1:1,1:1}@2", [1, 2, 0, 0, 2, 0]),
+    ("lattice:2", "(1,-1)", [0, 3]),
+])
+def test_parsed_multiplied_and_ball_elements_agree(spec, text, gens):
+    """One element built three ways (parsed, a product of generators, read
+    off a ball) hashes and compares equal."""
+    G = parse_group(spec)
+    parsed = parse_element(G, text)
+    made = G.identity()
+    for j in gens:
+        made = G.mul(made, G.generators()[j])
+    ball = ball_enumerate(G, 8)
+    found = ball.elements[ball.index[parsed]]
+    assert parsed == made == found
+    assert hash(parsed) == hash(made) == hash(found)
+    assert type(found) is GroupElement
 
 
 def test_parse_group_round_trip():

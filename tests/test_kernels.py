@@ -24,7 +24,6 @@ from greenwalk.kernels import (
     build_kernel_table,
     harnack_scan,
     n_step_distribution,
-    spectral_radius_estimate,
 )
 from greenwalk.walks import (
     drift_z,
@@ -160,15 +159,7 @@ def test_wreath_dual_route_agreement():
         assert gap <= budget, f"{g}: gap {gap} exceeds {budget}"
 
 
-# -- spectral radius, Harnack, n-step law --------------------------------------
-
-
-def test_spectral_radius_f2():
-    est = spectral_radius_estimate(srw_free(2), n_max=120)
-    true_rho = math.sqrt(3.0) / 2.0
-    assert est.rho_hat <= true_rho + 1e-12
-    assert est.rho_hat > 0.8
-    assert est.even_monotone
+# -- Harnack, n-step law ------------------------------------------------------
 
 
 def test_harnack_constant_f2(t_f2):

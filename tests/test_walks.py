@@ -132,6 +132,11 @@ def test_product_walk_mixing_bounds():
 def test_generation_certificate():
     cert = generation_certificate(srw_free(2), 3, 12)
     assert cert.covered and cert.missing == ()
+    # every generator is a step, but 2 steps reach only B(2): the search
+    # reports the 36 words of length 3
+    cert = generation_certificate(srw_free(2), 3, 2)
+    assert not cert.covered and len(cert.missing) == 36
+    assert all(len(g.data) == 3 for g in cert.missing)
     # one-sided support cannot reach inverses; make_walk refuses it outright
     G = GroupModel.free(2)
     a = parse_element(G, "a")

@@ -9,13 +9,20 @@ W in verdicts and tables.  Then each checkout runs one traced round
 (`--trace 1`), and a probe that draws the verdicts job's two sampled
 exit laws (F2, 100,000 paths, depths 4 and 5, 2 workers) and reports the
 peak RSS of the probe process and of its largest child (RUSAGE_CHILDREN),
-which perfbench's `peak_rss_mb` does not see.
+which perfbench's `peak_rss_mb` does not see.  `src_lines` repeats each
+side's line count of src/greenwalk/*.py from its perfbench environment.
+
+Per end-to-end metric, `gain_met` says whether the change is better in
+at least 9 of 10 pairs and its median beats the parent's by more than the
+parent's interquartile range; "better" is the metric's direction in
+BENCHMARK.json.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -54,17 +61,23 @@ def quartiles(values: list) -> dict:
     return {"median": med, "q1": q1, "q3": q3}
 
 
-def summarize(pairs: list) -> dict:
-    """Per metric: both sides' medians and quartiles, the median ratio
-    and the number of pairs in which the change was lower."""
+def summarize(pairs: list, better: dict) -> dict:
+    """Per metric: both sides' medians and quartiles, the median ratio,
+    the number of pairs in which the change was lower and `gain_met`."""
     out = {}
     for name in pairs[0]["parent"]["metrics"]:
         par = [p["parent"]["metrics"][name]["value"] for p in pairs]
         chg = [p["change"]["metrics"][name]["value"] for p in pairs]
-        out[name] = {"parent": quartiles(par), "change": quartiles(chg),
-                     "ratio": statistics.median(chg) / statistics.median(par),
+        sign = 1 if better[name] == "lower" else -1
+        wins = sum(sign * (p - c) > 0 for p, c in zip(par, chg))
+        q = quartiles(par)
+        gain = sign * (q["median"] - statistics.median(chg))
+        out[name] = {"parent": q, "change": quartiles(chg),
+                     "ratio": statistics.median(chg) / q["median"],
                      "change_lower": sum(c < p for p, c in zip(par, chg)),
-                     "pairs": len(pairs)}
+                     "pairs": len(pairs),
+                     "gain_met": wins >= math.ceil(0.9 * len(pairs))
+                     and gain > q["q3"] - q["q1"]}
     return out
 
 
@@ -82,6 +95,9 @@ def main(argv=None) -> int:
     result = {"command": " ".join(["tools/bench_compare.py", *sys.argv[1:]]),
               "environment": {}, "end_to_end": {}, "per_layer": {},
               "sampler_probe_rss_mb": {}}
+    with open(os.path.join(roots["change"], "BENCHMARK.json")) as fh:
+        better = {m["name"]: m["better"]
+                  for m in json.load(fh)["end_to_end"]}
     for workload in WORKLOADS:
         pairs = []
         for i in range(args.pairs):
@@ -100,7 +116,9 @@ def main(argv=None) -> int:
                 f"{r['metrics']['setup_s']['value']:.3f}"
                 for side, r in runs.items()), file=sys.stderr)
         result["end_to_end"][workload] = {"pairs": pairs,
-                                          "summary": summarize(pairs)}
+                                          "summary": summarize(pairs, better)}
+    result["src_lines"] = {side: env["src_lines"]
+                           for side, env in result["environment"].items()}
     env = dict(os.environ, **THREAD_ENV)
     for side, root in roots.items():
         traced = perfbench(root, "--workload", "verdicts", "--seed", seed,
