@@ -7,16 +7,16 @@ together with a position), and direct products of any two of these.
 Elements are immutable and hashable tuples; every model fixes one
 canonical representation per element, so dict/set membership is exact.
 Word lengths have a closed form for every kind (`word_length`); a `Ball`
-holds every element up to a radius with its word length and its
-Cayley-graph neighbours, and every ball is sized exactly before it is
-searched, on integer codes (`_Codes`) or from its factor balls.
+holds every element up to a radius, as integer codes (`_Codes`) or as
+pairs of factor-ball positions, with its word length and its Cayley-graph
+neighbours, and every ball is sized exactly before it is searched.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from itertools import repeat
 from math import comb
 from typing import NamedTuple
@@ -267,9 +267,9 @@ def serialize_element(G: GroupModel, a: GroupElement) -> str:
 def _serialize(G: GroupModel, a: GroupElement) -> str:
     """`serialize_element` without `check`."""
     if G.kind == "free":
-        if not a.data:
-            return "e"
         k = G.params[0]
+        if not a.data:  # "e" is a letter of F_5 to F_26
+            return "1" if 5 <= k <= 26 else "e"
         if k <= 26:
             return "".join(
                 _LETTERS[x - 1] if x > 0 else _LETTERS[-x - 1].upper()
@@ -303,7 +303,7 @@ def parse_element(G: GroupModel, text: str) -> GroupElement:
 def _parse_element(G: GroupModel, text: str) -> GroupElement:
     if G.kind == "free":
         k = G.params[0]
-        if text == "e" or text == "":
+        if text in ("", _serialize(G, G.identity())):
             return G.identity()
         if "." in text or text.lstrip("+-").isdigit() and k > 26:
             letters = [int(p) for p in text.split(".")]
@@ -396,31 +396,50 @@ def parse_group(spec: str) -> GroupModel:
 
 
 class Ball:
-    """All elements of word length <= radius, in a deterministic order.
+    """All elements of word length <= radius, in the order of their
+    serialized forms, kept as integer codes rather than objects.
 
-    elements are sorted lexicographically by their serialized canonical
-    form, and `index` maps each element to its position in `elements`.
-    The arrays are indexed by that position: `depth[i]` is the word length
-    of elements[i], and `neighbours`, of shape (len(ball),
-    len(group.generators())) and dtype int32, is the ball's Cayley graph:
-    entry [i, j] is the index of elements[i] * generators[j], or -1 when
-    that product lies outside the ball.
+    `position(g)` finds g by its code among the ball's sorted codes (None
+    outside the ball); `elements` is decoded from the codes on first use.
+    `depth[i]` is the word length of elements[i], and `neighbours`, of
+    shape (len(ball), len(group.generators())) and dtype int32, is the
+    Cayley graph: entry [i, j] is the position of elements[i] *
+    generators[j], or -1 when that product lies outside the ball.
     """
 
-    def __init__(self, group: GroupModel, radius: int, elements: tuple,
-                 depth: np.ndarray, neighbours: np.ndarray, index: dict):
-        self.group = group
-        self.radius = radius
-        self.elements = elements
-        self.depth = depth
-        self.neighbours = neighbours
-        self.index = index
+    def __init__(self, group: GroupModel, radius: int, codes, rows, depth,
+                 table):
+        """The ball of the elements that `codes` codes as rows[k], with
+        word lengths depth[k] and neighbour rows table[k] (-1 outside)."""
+        n = len(rows)
+        by_form = np.lexsort(codes.units(rows, ""))  # position -> row
+        rank = np.full(n + 1, -1, dtype=np.int32)  # row -> position; -1 stays
+        rank[by_form] = np.arange(n, dtype=np.int32)
+        self.group, self.radius, self.depth = group, radius, depth[by_form]
+        self.neighbours = rank[table[by_form]]
+        self._codes, self._rows = codes, rows[by_form]
+        keys = _keys(self._rows)
+        self._at = np.argsort(keys)  # the position of each key in key order
+        self._keys = keys[self._at]
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.depth)
 
-    def __contains__(self, a):
-        return a in self.index
+    @cached_property
+    def elements(self) -> tuple:
+        return tuple(map(_element, zip(repeat(self.group.kind),
+                                       self._codes.decode(self._rows))))
+
+    def position(self, g: GroupElement) -> int | None:
+        key = self._codes.key(g)
+        if key is None:
+            return None
+        i = self._keys.searchsorted(key)
+        return int(self._at[i]) if i < len(self) and self._keys[i] == key else None
+
+    def _ranks(self, end: str) -> np.ndarray:
+        """Each element's rank among the serialized forms followed by `end`."""
+        return _inverse(np.lexsort(self._codes.units(self._rows, end)))
 
     def sphere_sizes(self) -> list[int]:
         return np.bincount(self.depth, minlength=self.radius + 1).tolist()
@@ -434,9 +453,10 @@ def ball_enumerate(G: GroupModel, radius: int,
     from its exact size, before any search.  `_code_search` then finds the
     ball on integer codes of as many int64 words as the group and radius
     need (`_Codes`), one vectorised step per sphere, and fills
-    `Ball.neighbours`; each element's `data` and serialized form are
-    decoded from its code once.  No `check` runs: elements are checked
-    where they enter the package (parsers, constructors, `mul`, `inv`).
+    `Ball.neighbours`; the serialized order comes from the codes too
+    (`_Codes.units`), so no element is made.  No `check` runs: elements
+    are checked where they enter the package (parsers, constructors,
+    `mul`, `inv`).
     """
     if radius < 0:
         raise ConfigError(f"ball radius must be >= 0, got {radius}", "radius")
@@ -454,10 +474,8 @@ def ball_enumerate(G: GroupModel, radius: int,
         raise _cap_error(G, radius, cap)
     codes = _Codes(G, radius)
     rows, sizes, table = _code_search(codes)
-    keys, data = codes.decode(rows)
-    del rows
-    return _sorted_ball(G, radius, keys, data,
-                        np.repeat(np.arange(radius + 1), sizes), table)
+    return Ball(G, radius, codes, rows, np.repeat(np.arange(radius + 1), sizes),
+                table)
 
 
 class _Codes:
@@ -489,6 +507,7 @@ class _Codes:
             word.append(w)
             mult.append(m)
             m *= b
+        self.columns = list(zip(zero, radix, word, mult))
         self.radix, self.word, self.mult = (
             np.array(x, dtype=np.int64) for x in (radix, word, mult))
         self.identity = np.zeros((1, w + 1), dtype=np.int64)
@@ -525,57 +544,171 @@ class _Codes:
                                      np.where(pop, -last, j + 1)))
         return np.stack(out, axis=1)
 
-    def decode(self, rows: np.ndarray) -> tuple[list, list]:
-        """The serialized forms and `data` tuples of the coded elements.
+    def _configs(self, rows: np.ndarray):
+        """A wreath code's position digits, and its distinct lamp
+        configurations: each row's configuration id and their codes."""
+        pos = self.digit(rows, 0)
+        rows = self._add(rows, 0, -pos)
+        order, first = _row_runs(rows)
+        config = np.empty(len(rows), dtype=np.int64)
+        config[order] = np.cumsum(first) - 1
+        return pos, config, rows[order[first]]
+
+    def digits(self, rows: np.ndarray) -> np.ndarray:
+        """Every digit of each row, in the smallest dtype that holds them."""
+        out = np.empty((len(rows), len(self.radix)),
+                       np.min_scalar_type(int(self.radix.max()) - 1))
+        for col, (_, radix, word, mult) in enumerate(self.columns):
+            out[:, col] = rows[:, word] // mult % radix
+        return out
+
+    def key(self, g: GroupElement):
+        """The search key (`_keys`) of g's code, or None when g has another
+        kind or shape or a digit of g leaves its radix."""
+        G, r = self.G, self.radius
+        if g.kind != G.kind or G.kind == "lattice" and len(g.data) != len(
+                self.radix):
+            return None
+        if G.kind == "free":  # generator j is digit j + 1
+            moves = [(i, 2 * abs(x) - (x > 0)) for i, x in enumerate(g.data, 1)]
+        elif G.kind == "lattice":
+            moves = list(enumerate(g.data))
+        else:  # a lamp past [-radius, radius] has no column
+            moves = [(0, g.data[1])] + [(s + r + 1 if abs(s) <= r else -1, v)
+                                        for s, v in g.data[0]]
+        words = self.identity[0].tolist()
+        for col, delta in moves:
+            if not 0 <= col < len(self.columns):
+                return None
+            zero, radix, word, mult = self.columns[col]
+            if not 0 <= zero + delta < radix:
+                return None
+            words[word] += delta * mult
+        return words[0] if len(words) == 1 else _keys(np.array([words]))[0]
+
+    def units(self, rows: np.ndarray, end: str) -> np.ndarray:
+        """`np.lexsort` keys (primary last) that order the coded elements as
+        Python orders their serialized forms followed by `end`.
+
+        A form is a sequence of units, one per key: a letter (with its
+        separator past F_26), a coordinate with its separator, a lit lamp
+        with its separator ("," or the head's "}@"), the position.  Units
+        of two forms differ before either ends, unless one ends its form
+        and so sorts first both ways; a unit past a form's end is "".  Each
+        unit id indexes an alphabet ranked once with Python's order.
+        """
+        G, r, n = self.G, self.radius, self.G.params[0]
+        if G.kind == "wreath":  # each lamp configuration's head is ranked once
+            pos, config, rows = self._configs(rows)
+        digits = self.digits(rows)
+        if G.kind == "lattice":
+            units = digits + (2 * r + 3) * (np.arange(n) == n - 1)
+            alphabet = [f"{x}{sep}" for sep in ",)" for x in range(-r - 1, r + 2)]
+        elif G.kind == "free":
+            units = digits[:, 1:].astype(np.int64)
+            length = np.count_nonzero(units, axis=1)
+            text = [_serialize(G, s) for s in G.generators()]
+            if n <= 26:  # letters take no separator, so `end` is a unit
+                units[np.arange(len(rows)), length] = 2 * n + 1
+                alphabet = [""] + text + [end]
+            else:
+                units[np.arange(len(rows)), length - 1] += 2 * n * (length > 0)
+                alphabet = [""] + [t + "." for t in text] + [t + end for t in text]
+            units[length == 0, 0] = len(alphabet)  # no letter starts as e does
+            alphabet.append(_serialize(G, G.identity()))
+        else:
+            lamps = digits[:, 1:]
+            at, site = np.nonzero(lamps)  # the lit lamps, row by row
+            lit = np.count_nonzero(lamps, axis=1)
+            col = np.arange(len(at)) - (np.cumsum(lit) - lit)[at]
+            units = np.zeros((len(rows), max(1, lit.max())), np.int64)
+            units[at, col] = (1 + 2 * (site * n + lamps[at, site])
+                              + (col == lit[at] - 1))
+            alphabet = [""] + [f"{s}:{v}{sep}" for s in range(-r, r + 1)
+                               for v in range(n) for sep in (",", "}@")]
+            units[lit == 0, 0] = len(alphabet)
+            alphabet.append("}@")
+        keys = _ranked(alphabet)[units].T[::-1]
+        if G.kind != "wreath":
+            return keys
+        return np.stack([
+            _ranked([f"{p}{end}" for p in range(-r - 1, r + 2)])[pos],
+            _inverse(np.lexsort(keys))[config]])
+
+    def decode(self, rows: np.ndarray) -> list:
+        """The `data` tuples of the coded elements.
 
         Each nonzero digit but wreath column 0 is a letter, a coordinate or
-        a lit lamp, and `value` and `text` give its part of the `data` and
-        of the serialized form.  A wreath lamp configuration is decoded
-        once for all the positions it occurs with.
+        a lit lamp, and `value` gives its part of the `data`.  A wreath lamp
+        configuration is decoded once for all the positions it occurs with.
         """
         G, r, n = self.G, self.radius, self.G.params[0]
         if G.kind == "wreath":
-            pos = self.digit(rows, 0)
-            rows = self._add(rows, 0, -pos)
-            order, first = _row_runs(rows)
-            config = np.empty(len(rows), dtype=np.int64)
-            config[order] = np.cumsum(first) - 1
-            rows = rows[order[first]]
-        digits = np.empty((len(rows), len(self.radix)),
-                          np.min_scalar_type(int(self.radix.max()) - 1))
-        for col in range(len(self.radix)):
-            digits[:, col] = self.digit(rows, col)
-        stride, sep = 0, ","
+            pos, config, rows = self._configs(rows)
+        digits, stride = self.digits(rows), 0
         if G.kind == "free":
             value = [0] + [s * i for i in range(1, n + 1) for s in (1, -1)]
-            text = [""] + [_serialize(G, GroupElement("free", (x,)))
-                           for x in value[1:]]
-            sep = "" if n <= 26 else "."
         elif G.kind == "lattice":
             value = list(range(-r - 1, r + 2))
-            text = [str(x) for x in value]
         else:
             stride, digits = n, digits[:, 1:]
             value = [(s, v) for s in range(-r, r + 1) for v in range(n)]
-            text = [f"{s}:{v}" for s, v in value]
         at, cols = np.nonzero(digits)
         flat = (cols * stride + digits[at, cols]).tolist()
         ends = np.cumsum(np.count_nonzero(digits, axis=1)).tolist()
         del digits, at, cols
-        vals, body = [], []
-        for a, b in zip([0] + ends, ends):
-            part = flat[a:b]
-            vals.append(tuple(map(value.__getitem__, part)))
-            body.append(sep.join(map(text.__getitem__, part)))
-        del flat
-        if G.kind == "free":
-            return [t or "e" for t in body], vals
-        if G.kind == "lattice":
-            return ["(" + t + ")" for t in body], vals
-        config, pos = config.tolist(), (pos - (r + 1)).tolist()
-        head = ["{" + t + "}@" for t in body]
-        return ([head[c] + str(p) for c, p in zip(config, pos)],
-                [(vals[c], p) for c, p in zip(config, pos)])
+        vals = [tuple(map(value.__getitem__, flat[a:b]))
+                for a, b in zip([0] + ends, ends)]
+        if G.kind != "wreath":
+            return vals
+        return [(vals[c], p)
+                for c, p in zip(config.tolist(), (pos - (r + 1)).tolist())]
+
+
+class _PairCodes:
+    """A product ball's codes: the pair id i * len(R) + j of the positions
+    of its factors in the factor balls L and R."""
+
+    def __init__(self, L: Ball, R: Ball):
+        self.L, self.R = L, R
+
+    def key(self, g: GroupElement):
+        if g.kind != "product":
+            return None
+        i, j = self.L.position(g.data[0]), self.R.position(g.data[1])
+        return None if i is None or j is None else i * len(self.R) + j
+
+    def units(self, rows: np.ndarray, end: str) -> list:
+        # "[" + left + ";" + right + "]": two such forms differ before their
+        # closing brackets, so `end` never decides
+        I, J = np.divmod(rows[:, 0], len(self.R))
+        return [self.R._ranks("]")[J], self.L._ranks(";")[I]]
+
+    def decode(self, rows: np.ndarray) -> list:
+        I, J = np.divmod(rows[:, 0], len(self.R))
+        left, right = self.L.elements, self.R.elements
+        return [(left[i], right[j]) for i, j in zip(I.tolist(), J.tolist())]
+
+
+def _ranked(alphabet: list) -> np.ndarray:
+    """Each unit's rank in Python's string order; equal units tie."""
+    rank = {u: i for i, u in enumerate(sorted(set(alphabet)))}
+    return np.array([rank[u] for u in alphabet])
+
+
+def _inverse(order: np.ndarray) -> np.ndarray:
+    """The inverse of the permutation `order`."""
+    out = np.empty_like(order)
+    out[order] = np.arange(len(order))
+    return out
+
+
+def _keys(rows: np.ndarray) -> np.ndarray:
+    """One sortable key per code row: its word, or the big-endian bytes of
+    its words, which sort as the rows do."""
+    if rows.shape[1] == 1:
+        return rows[:, 0]
+    return np.ascontiguousarray(rows, ">i8").view(f"V{8 * rows.shape[1]}")[:, 0]
 
 
 def _code_search(codes: _Codes) -> tuple[np.ndarray, list, np.ndarray]:
@@ -676,33 +809,8 @@ def _product_ball(G: GroupModel, radius: int, cap: int) -> Ball:
         np.where((rj >= 0) & (dl[I][:, None] + dr[rj] <= radius),
                  offset[I][:, None] + r_rank[rj], -1),
     ])
-    sl = [_serialize(L.group, a) for a in L.elements]
-    sr = [_serialize(R.group, b) for b in R.elements]
-    I, J = I.tolist(), J.tolist()
-    keys = ["[" + sl[i] + ";" + sr[j] + "]" for i, j in zip(I, J)]
-    left, right = L.elements, R.elements
-    return _sorted_ball(G, radius, keys,
-                        [(left[i], right[j]) for i, j in zip(I, J)],
-                        dl[I] + dr[J], table)
-
-
-def _sorted_ball(G: GroupModel, radius: int, keys: list, data: list,
-                 depth: np.ndarray, table: np.ndarray) -> Ball:
-    """The Ball of the elements with `data` tuples data[k], serialized
-    forms keys[k], word lengths depth[k] and neighbour ids table[k] (-1
-    outside).  Empties `keys`, which nothing reads past the sort."""
-    n = len(keys)
-    perm = sorted(range(n), key=keys.__getitem__)
-    keys.clear()
-    elements = tuple(map(_element, zip(repeat(G.kind),
-                                        map(data.__getitem__, perm))))
-    gen_id = np.array(perm, dtype=np.int32)  # position -> generation id
-    del perm
-    rank = np.empty(n + 1, dtype=np.int32)  # generation id -> position
-    rank[gen_id] = np.arange(n, dtype=np.int32)
-    rank[n] = -1  # so that an outside entry (-1) stays -1
-    return Ball(G, radius, elements, depth[gen_id], rank[table[gen_id]],
-                dict(zip(elements, range(n))))
+    return Ball(G, radius, _PairCodes(L, R), (I * len(R) + J)[:, None],
+                dl[I] + dr[J], table)
 
 
 def _cap_error(G: GroupModel, radius: int, cap: int) -> ResourceLimitError:

@@ -27,12 +27,14 @@ table holds one entry per length and g is read at |g|, and a working
 radius of several hundred costs nothing.  This is what pushes Green
 values at depth ten past the 1e-5 barrier that a direct ball truncation
 cannot reach.  Every other table keeps its vectors in the order of its
-work ball and reads g at ball.index[g], for g of length <= radius.
+work ball and reads g at ball.position(g), the place of g's integer code
+among the ball's sorted codes, for g of length <= radius.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 import scipy.sparse
@@ -42,7 +44,7 @@ from .errors import (
     RangeError,
     TransienceError,
 )
-from .groups import Ball, GroupElement, shared_ball
+from .groups import Ball, GroupElement, shared_ball, word_length
 from .walks import WalkSpec
 
 RHO_SAFETY = 1.05
@@ -119,9 +121,10 @@ class BallOperator:
         """The operator whose state i is ball.elements[i].
 
         A step that is a generator or the identity reads its successors
-        from `ball.neighbours`; any other step multiplies every element,
-        because composing generator columns would lose the paths that
-        leave the ball and come back within one step.
+        from `ball.neighbours`, so no element is decoded; any other step
+        multiplies every element, because composing generator columns
+        would lose the paths that leave the ball and come back within one
+        step.
         """
         G = walk.group
         column = {s: j for j, s in enumerate(G.generators())}
@@ -133,10 +136,10 @@ class BallOperator:
             elif s == e:
                 succ.append(np.arange(len(ball)))
             else:
-                succ.append(np.fromiter(
-                    (ball.index.get(G._mul(a, s), -1) for a in ball.elements),
-                    dtype=np.int64, count=len(ball)))
-        return cls(walk, succ, ball.index[e])
+                found = map(ball.position, (G._mul(a, s) for a in ball.elements))
+                succ.append(np.array([-1 if i is None else i for i in found],
+                                     dtype=np.int64))
+        return cls(walk, succ, ball.position(e))
 
     def restricted(self, keep: np.ndarray) -> "BallOperator":
         """The same walk killed outside the states where `keep` is True.
@@ -222,7 +225,8 @@ class KernelTable:
     and `errors[i]` its error, of the kind `meta["error_kind"]` names.  A
     lumped table (`ball` is None) holds one entry per word length, so g
     sits at |g|; a ball table is laid out like its work ball `ball`, so g
-    sits at ball.index[g].  Either way g is covered when |g| <= radius.
+    sits at ball.position(g), found from g's integer code.  Either way g is
+    covered when |g| <= radius.
 
     G(x, y) for general x is obtained through translation invariance
     G(x, y) = G(e, x^{-1} y), so the invariance identity holds exactly by
@@ -244,7 +248,7 @@ class KernelTable:
         if self.ball is None:
             d = len(g.data)  # the word length of a reduced free word
             return d if d <= self.radius else None
-        i = self.ball.index.get(g)
+        i = self.ball.position(g)
         if i is None or self.ball.depth[i] > self.radius:
             return None
         return i
@@ -472,26 +476,20 @@ def harnack_scan(table: KernelTable, radius: int) -> float:
             f">= {2 * radius}, have {table.radius}"
         )
     G = table.walk.group
-    ball = shared_ball(G, radius)
-    pair_ball = shared_ball(G, 2 * radius)
-    elements = ball.elements
+    elements = shared_ball(G, radius).elements
     inverses = [G.inv(x) for x in elements]
-    index, depth = pair_ball.index, pair_ball.depth.tolist()
-    dist = [[depth[index[G._mul(inv, y)]] for y in elements]
-            for inv in inverses]
-    best = 1.0
-    for z in elements:
-        vals = [table.green_at(G._mul(inv, z)) for inv in inverses]
-        for i in range(len(elements)):
-            for j in range(len(elements)):
-                if i == j:
-                    continue
-                d = dist[i][j]
-                if d == 0:
-                    continue
-                ratio = vals[i] / vals[j]
-                if ratio > 1.0:
-                    cand = ratio ** (1.0 / d)
-                    if cand > best:
-                        best = cand
-    return best
+    # x_i^-1 x_j has length d(x_i, x_j), and G(x_i, x_j) = G(e, x_i^-1 x_j)
+    # by translation invariance; one row of these elements is kept at once
+    dist, vals = [], []
+    for inv in inverses:
+        row = [G._mul(inv, y) for y in elements]
+        dist.append([word_length(G, g) for g in row])
+        vals.append([table.green_at(g) for g in row])
+    dist, vals = np.array(dist), np.array(vals)
+    # ratio[i, j]: the largest G(x_i, z) / G(x_j, z) over z; t -> t^(1/d)
+    # increases, so that largest ratio gives the pair's candidate
+    ratio = reduce(np.maximum, (np.divide.outer(v, v) for v in vals.T))
+    up = (ratio > 1.0) & (dist > 0)
+    return max([t ** (1.0 / d) for t, d in zip(ratio[up].tolist(),
+                                               dist[up].tolist())],
+               default=1.0)

@@ -125,31 +125,32 @@ def generation_certificate(walk: WalkSpec, radius: int,
 
     A support that holds every generator reaches each element of the ball
     along a geodesic, so it covers the ball in `radius` steps with no
-    search; any other support is searched breadth-first.
+    search; any other support is searched breadth-first, with the
+    unchecked multiply since `make_walk` checked every step.  The ball is
+    in serialized order, so the missing elements are too.
     """
     G = walk.group
     support = walk.support()
     if max_steps >= radius and set(G.generators()) <= set(support):
         return GenerationCertificate(radius, max_steps, True, ())
-    target = set(ball_enumerate(G, radius).elements)
+    ball = ball_enumerate(G, radius)
+    hit = {ball.position(G.identity())}  # the ball positions reached
     reached = {G.identity()}
     frontier = [G.identity()]
     for _ in range(max_steps):
-        if target <= reached:
+        if len(hit) == len(ball) or not frontier:
             break
         nxt = []
         for a in frontier:
             for s in support:
-                b = G.mul(a, s)
+                b = G._mul(a, s)
                 if b not in reached:
                     reached.add(b)
                     nxt.append(b)
+                    if (i := ball.position(b)) is not None:
+                        hit.add(i)
         frontier = nxt
-        if not frontier:
-            break
-    missing = tuple(
-        sorted(target - reached, key=lambda a: serialize_element(G, a))
-    )
+    missing = tuple(ball.elements[i] for i in range(len(ball)) if i not in hit)
     return GenerationCertificate(radius, max_steps, not missing, missing)
 
 

@@ -90,6 +90,20 @@ def test_serialize_parse_round_trip(G, elems):
     run()
 
 
+@pytest.mark.parametrize("k, radius", [(2, 3), (5, 3), (26, 3), (27, 2)])
+def test_free_ball_round_trips(k, radius):
+    """Every element's serialized form parses back to it: the identity's
+    form is "e" up to F_4, "1" on F_5 to F_26 (where "e" is the letter
+    e), and "e" again past F_26, whose letters are signed numbers."""
+    G = GroupModel.free(k)
+    ball = ball_enumerate(G, radius)
+    texts = [serialize_element(G, a) for a in ball.elements]
+    assert len(set(texts)) == len(ball)
+    assert all(parse_element(G, t) == a for t, a in zip(texts, ball.elements))
+    assert texts[0 if 5 <= k <= 26 else -1] == serialize_element(
+        G, G.identity()) == ("1" if 5 <= k <= 26 else "e")
+
+
 def test_free_canonical_form_rejected():
     for bad in [(1, -1), (0,), (3,), (2, -2)]:
         with pytest.raises(RepresentationError):
@@ -205,11 +219,27 @@ def _reference_ball(G, radius):
     depth = [length[a] for a in elements]
     neighbours = [[index.get(G.mul(a, s), -1) for s in gens]
                   for a in elements]
-    return elements, depth, neighbours, index, length
+    return elements, depth, neighbours, length
+
+
+def _outside(G, radius, length):
+    """Elements a ball of this radius must not find: one of length
+    radius + 1, one of another kind and, on a wreath product, one whose
+    digits leave every radix."""
+    far = next(b for a, d in length.items() if d == radius
+               for b in (G.mul(a, s) for s in G.generators())
+               if b not in length)
+    other = GroupElement("free" if G.kind == "lattice" else "lattice", (0,))
+    if G.kind == "wreath":
+        return [far, other, parse_element(G, "{-300:1,500:1}@200")]
+    return [far, other]
 
 
 # radii 0-4 of each kind, then the benchmark's balls (wreath:2 radius 15,
-# the product at radius 7) and balls whose codes take two int64 words
+# the product at radius 7), balls whose codes take two int64 words, and
+# balls whose order has traps: F_5 and F_27, whose identity and letters
+# differ from F_2's, a lattice factor whose position ends in ";" (where
+# "1;" sorts after "10;") and a product of two lattices
 @pytest.mark.parametrize("spec, radii", [
     pytest.param(spec, range(5), id=spec) for spec in [
         "free:2", "free:3", "lattice:1", "lattice:3", "wreath:2", "wreath:3",
@@ -218,18 +248,23 @@ def _reference_ball(G, radius):
 ] + [
     pytest.param(spec, [radius], id=f"{spec}-r{radius}")
     for spec, radius in [("free:2", 7), ("wreath:2", 15), ("wreath:5", 6),
-                         ("lattice:40", 2), ("product(wreath:2,free:2)", 7)]
+                         ("lattice:40", 2), ("product(wreath:2,free:2)", 7),
+                         ("free:5", 3), ("free:27", 2),
+                         ("product(wreath:2,lattice:1)", 11),
+                         ("product(lattice:1,lattice:1)", 12)]
 ])
 def test_ball_matches_reference_bfs(spec, radii):
     G = parse_group(spec)
     for radius in radii:
         ball = ball_enumerate(G, radius)
-        elements, depth, neighbours, index, length = _reference_ball(G, radius)
+        elements, depth, neighbours, length = _reference_ball(G, radius)
         assert ball.elements == elements
         assert ball.depth.tolist() == depth
         assert ball.neighbours.dtype == np.int32
         assert ball.neighbours.tolist() == neighbours
-        assert ball.index == index
+        assert [ball.position(a) for a in elements] == list(range(len(ball)))
+        for a in _outside(G, radius, length):
+            assert ball.position(a) is None, a
         assert _lengths(ball) == length
         assert all(word_length(G, a) == length[a] for a in elements)
 
@@ -268,11 +303,12 @@ def test_ball_neighbours_match_mul(spec):
     gens = G.generators()
     assert ball.neighbours.shape == (len(ball), len(gens))
     for i, a in enumerate(ball.elements):
-        expected = [ball.index.get(G.mul(a, s), -1) for s in gens]
-        assert ball.neighbours[i].tolist() == expected
+        found = [ball.position(G.mul(a, s)) for s in gens]
+        assert ball.neighbours[i].tolist() == [
+            -1 if j is None else j for j in found]
     assert ball.elements == tuple(
         sorted(ball.elements, key=lambda a: serialize_element(G, a)))
-    assert all(ball.index[a] == i for i, a in enumerate(ball.elements))
+    assert all(ball.position(a) == i for i, a in enumerate(ball.elements))
 
 
 def test_group_element_is_an_immutable_tuple():
@@ -301,7 +337,7 @@ def test_parsed_multiplied_and_ball_elements_agree(spec, text, gens):
     for j in gens:
         made = G.mul(made, G.generators()[j])
     ball = ball_enumerate(G, 8)
-    found = ball.elements[ball.index[parsed]]
+    found = ball.elements[ball.position(parsed)]
     assert parsed == made == found
     assert hash(parsed) == hash(made) == hash(found)
     assert type(found) is GroupElement

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import greenwalk
+from greenwalk import groups
 from greenwalk.errors import RangeError, TransienceError
 from greenwalk.groups import (
     GroupElement,
@@ -207,7 +208,7 @@ def _rational_n_step(walk, n, radius):
         for a, mass in dist.items():
             for s, p in walk.steps:
                 b = G.mul(a, s)
-                if b in ball.index:
+                if ball.position(b) is not None:
                     nxt[b] = nxt.get(b, 0) + mass * Fraction(p)
                 else:
                     dropped += mass * Fraction(p)
@@ -255,8 +256,9 @@ def _ab_walk():
 
 def _mul_successors(walk, ball):
     G = walk.group
-    return [[ball.index.get(G.mul(a, s), -1) for a in ball.elements]
-            for s in walk.support()]
+    found = [[ball.position(G.mul(a, s)) for a in ball.elements]
+             for s in walk.support()]
+    return [[-1 if i is None else i for i in row] for row in found]
 
 
 @pytest.mark.parametrize("walk", [
@@ -271,7 +273,7 @@ def test_ball_operator_successors_match_mul(walk):
     ball = ball_enumerate(walk.group, 3)
     op = BallOperator.on_ball(walk, ball)
     assert [list(idx) for idx in op.succ] == _mul_successors(walk, ball)
-    assert op.start == ball.index[walk.group.identity()]
+    assert op.start == ball.position(walk.group.identity())
 
 
 def test_product_hold_step_stays_put():
@@ -319,6 +321,24 @@ def test_non_generator_step_table_unchanged():
     for key, (now, lu) in _AB_TABLE.items():
         assert got[key] == now, key
         assert abs(now - lu) <= 1e-14, key
+
+
+@pytest.mark.parametrize("walk, radius, margin", [
+    (product_walk(wreath_walk(2, 0.75, 0.4), srw_free(2), 0.5), 5, 2),
+    (wreath_walk(2, 0.75, 0.4), 9, 6),
+], ids=["product", "wreath"])
+def test_generator_walk_tables_decode_no_work_ball_element(walk, radius,
+                                                           margin):
+    """A walk whose steps are generators builds and reads its table from
+    the work ball's codes alone: its elements are never decoded."""
+    groups._cached_ball.cache_clear()
+    for method in ("linear-solve", "series"):
+        t = build_kernel_table(walk, radius=radius, margin=margin,
+                               method=method)
+        for g in shared_ball(walk.group, radius).elements:
+            t.green_at(g)
+            t.entry_error(g)
+        assert "elements" not in vars(t.ball)
 
 
 # -- Green rows by the fixed point ------------------------------------------------
