@@ -51,6 +51,10 @@ from .walks import WalkSpec
 Z_LIMIT = 3.0
 BETA_GRID = (-1.0, 0.0, 0.5, 1.0, 2.0)
 PHI_GRID = tuple(np.linspace(-1.0, 2.0, 21))
+# phi_map_pushforward_check's witness pairs, witness depth and seed
+PUSHFORWARD_PAIRS = 40
+PUSHFORWARD_WITNESS_DEPTH = 4
+PUSHFORWARD_SEED = 11
 
 
 # -- step functions on the tree boundary ---------------------------------------
@@ -666,8 +670,7 @@ def kms_residual(t: KernelTable, m: MeasureModel, beta: float,
 
 
 def phi_map_pushforward_check(t2: KernelTable, t1: KernelTable,
-                              m1: MeasureModel, cells, n_pairs: int = 40,
-                              witness_depth: int = 4, seed: int = 11):
+                              m1: MeasureModel, cells):
     """Kernel identity, equivariance, and pushforward conformality.
 
     The factor-1 boundary maps into the product boundary, and the check
@@ -699,14 +702,14 @@ def phi_map_pushforward_check(t2: KernelTable, t1: KernelTable,
             f"factor table's group {G1.spec()}"
         )
     k1 = G1.params[0]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(PUSHFORWARD_SEED)
     ball1 = shared_ball(G1, 1)
     ball0 = shared_ball(left, 1)
     idx = rng.integers
     identity_rows = []
     worst_id = 0.0
-    for _ in range(n_pairs):
-        prefix = _random_reduced_word(G1, rng, witness_depth)
+    for _ in range(PUSHFORWARD_PAIRS):
+        prefix = _random_reduced_word(G1, rng, PUSHFORWARD_WITNESS_DEPTH)
         g0 = ball0.elements[idx(len(ball0.elements))]
         h = ball1.elements[idx(len(ball1.elements))]
         gh = GroupElement("product", (g0, h))
@@ -736,8 +739,8 @@ def phi_map_pushforward_check(t2: KernelTable, t1: KernelTable,
         })
     worst_eq = 0.0
     equi_rows = []
-    for _ in range(n_pairs):
-        prefix = _random_reduced_word(G1, rng, witness_depth + 2)
+    for _ in range(PUSHFORWARD_PAIRS):
+        prefix = _random_reduced_word(G1, rng, PUSHFORWARD_WITNESS_DEPTH + 2)
         end = BoundaryApproximant.tree_end(G1, prefix)
         h = ball1.elements[idx(len(ball1.elements))]
         hp = ball1.elements[idx(len(ball1.elements))]

@@ -19,16 +19,16 @@ sparse LU solve (`spsolve`) of (I - P^T) v = delta_e.  `meta["solver"]`
 and `meta["sweeps"]` record the route of the work-ball and half-ball
 solves.
 
-Every table is a value vector and an error vector read at one position.
-For the isotropic simple random walk on a free group both routes run on
-the distance chain instead of the full ball: transition probabilities
-depend only on the word length, so spheres can be lumped exactly, the
-table holds one entry per length and g is read at |g|, and a working
-radius of several hundred costs nothing.  This is what pushes Green
-values at depth ten past the 1e-5 barrier that a direct ball truncation
-cannot reach.  Every other table keeps its vectors in the order of its
-work ball and reads g at ball.position(g), the place of g's integer code
-among the ball's sorted codes, for g of length <= radius.
+Every table is a value vector and an error vector read at one position,
+on one of two state spaces.  For the isotropic simple random walk on a
+free group the states are the spheres (`Spheres`): transition
+probabilities depend only on the word length, so spheres lump exactly,
+g is read at |g|, and a working radius of several hundred costs nothing.
+This is what pushes Green values at depth ten past the 1e-5 barrier that
+a direct ball truncation cannot reach.  Every other table keeps its
+vectors in the order of its work ball and reads g at ball.position(g),
+the place of g's integer code among the ball's sorted codes.  Either way
+g is read only when |g| <= radius.
 """
 
 from __future__ import annotations
@@ -67,6 +67,8 @@ def default_radius(walk: WalkSpec) -> int:
 
 
 def default_margin(walk: WalkSpec) -> int:
+    if walk.is_isotropic_free_srw:
+        return CHAIN_EXTRA
     if walk.group.kind == "lattice" and walk.group.params[0] > 1:
         return 8
     return MARGIN_DEFAULTS[walk.group.kind]
@@ -163,55 +165,33 @@ class BallOperator:
         return self.step @ vec, float((vec * self.exit).sum())
 
 
-class RadialChainOperator:
-    """Distance chain of the isotropic free SRW, lumped over spheres.
+class Spheres:
+    """The spheres of F_k up to `radius`, as the states of the isotropic
+    simple random walk's distance chain (Woess 2000, ch. 1).
 
-    State d holds the total mass of the sphere of radius d; from d >= 1
-    the chain steps inward with probability 1/(2k) and outward with
-    probability (2k-1)/(2k); state `size-1` is absorbing outward.
+    State d is the sphere of radius d, so `depth[d]` is d and
+    `position(g)` is |g|.  Column 0 of `neighbours` steps inward, and the
+    identity's inward step goes to sphere 1; the other 2k - 1 columns step
+    outward, to -1 past the last sphere.  The walk's 2k equal steps read
+    one column each, so `BallOperator.on_ball` gives the exact lumping of
+    the walk killed outside B(radius).
     """
 
-    def __init__(self, k: int, chain_radius: int):
-        self.k = k
-        self.size = chain_radius + 1
-        self.start = 0
-        self.p_in = 1.0 / (2 * k)
-        self.p_out = 1.0 - self.p_in
+    def __init__(self, k: int, radius: int):
+        self.depth = np.arange(radius + 1)
+        inward = np.append(1, self.depth[:-1])
+        outward = np.append(self.depth[1:], -1)
+        self.neighbours = np.column_stack([inward] + [outward] * (2 * k - 1))
+        self._letters = frozenset(range(-k, k + 1)) - {0}
 
-    def sphere_size(self, d: int) -> int:
-        if d == 0:
-            return 1
-        return 2 * self.k * (2 * self.k - 1) ** (d - 1)
-
-    def start_vector(self) -> np.ndarray:
-        v = np.zeros(self.size)
-        v[0] = 1.0
-        return v
-
-    def convolve(self, vec: np.ndarray):
-        out = np.zeros_like(vec)
-        out[1] += vec[0]
-        out[2:] += vec[1:-1] * self.p_out
-        out[0:-1] += vec[1:] * self.p_in
-        dropped = vec[-1] * self.p_out
-        return out, dropped
-
-    def solve_green_row(self) -> np.ndarray:
-        """Visits per sphere: solve (I - P)^T v = delta_0, tridiagonal."""
-        n = self.size
-        ab = np.zeros((3, n))
-        ab[1, :] = 1.0
-        # superdiagonal entry at column j is -P[j-1 <- j] = -p_in
-        ab[0, 1:] = -self.p_in
-        # subdiagonal entry at column j is -P[j+1 <- j]; state 0 pushes
-        # its whole mass outward
-        sub = np.full(n - 1, -self.p_out)
-        sub[0] = -1.0
-        ab[2, :-1] = sub
-        rhs = np.zeros(n)
-        rhs[0] = 1.0
-        import scipy.linalg  # here, so `import greenwalk` does not load it
-        return scipy.linalg.solve_banded((1, 1), ab, rhs)
+    def position(self, g: GroupElement) -> int | None:
+        """|g| for a reduced word of F_k of length <= radius, else None."""
+        w = g.data
+        if (g.kind != "free" or len(w) >= len(self.depth)
+                or not self._letters.issuperset(w)
+                or any(x == -y for x, y in zip(w, w[1:]))):
+            return None
+        return len(w)
 
 
 # -- kernel tables ------------------------------------------------------------
@@ -222,11 +202,10 @@ class KernelTable:
     """Green values G(e, g) on a ball, with per-entry error estimates.
 
     The table is two vectors read at one position: `values[i]` is G(e, g)
-    and `errors[i]` its error, of the kind `meta["error_kind"]` names.  A
-    lumped table (`ball` is None) holds one entry per word length, so g
-    sits at |g|; a ball table is laid out like its work ball `ball`, so g
-    sits at ball.position(g), found from g's integer code.  Either way g is
-    covered when |g| <= radius.
+    and `errors[i]` its error, of the kind `meta["error_kind"]` names.  The
+    vectors are laid out like the state space `ball`, a work ball or the
+    isotropic free SRW's `Spheres`, so g sits at ball.position(g) and is
+    covered when that is found and |g| <= radius.
 
     G(x, y) for general x is obtained through translation invariance
     G(x, y) = G(e, x^{-1} y), so the invariance identity holds exactly by
@@ -239,15 +218,12 @@ class KernelTable:
     meta: dict
     values: np.ndarray
     errors: np.ndarray
-    ball: Ball | None
+    ball: Ball | Spheres
 
     # -- lookups ------------------------------------------------------------
 
     def _position(self, g: GroupElement) -> int | None:
         """Where g sits in `values` and `errors`; None past the radius."""
-        if self.ball is None:
-            d = len(g.data)  # the word length of a reduced free word
-            return d if d <= self.radius else None
         i = self.ball.position(g)
         if i is None or self.ball.depth[i] > self.radius:
             return None
@@ -294,64 +270,52 @@ def build_kernel_table(walk: WalkSpec, radius: int | None = None,
               terms
     margin -- extra working radius beyond `radius` shielding the exposed
               entries from the absorbing boundary (or from dropped series
-              mass); defaults per group kind.
+              mass); defaults per group kind, and to CHAIN_EXTRA on the
+              isotropic free SRW's spheres.
     """
     check_transient(walk)
     if radius is None:
         radius = default_radius(walk)
     if method not in ("series", "linear-solve"):
         raise ValueError(f"unknown method {method!r}")
-    if walk.is_isotropic_free_srw:
-        return _build_radial(walk, radius, method)
     if margin is None:
         margin = default_margin(walk)
+    if method == "linear-solve" and margin < 1:
+        raise ValueError(f"linear-solve needs margin >= 1, got {margin}")
+    if walk.is_isotropic_free_srw:
+        space = Spheres(walk.group.params[0], radius + margin)
+    else:
+        space = shared_ball(walk.group, radius + margin)
     if method == "linear-solve":
-        return _build_solve(walk, radius, margin)
-    return _build_series(walk, radius, margin)
+        return _build_solve(walk, radius, margin, space)
+    return _build_series(walk, radius, margin, space)
 
 
 def _table(walk: WalkSpec, radius: int, method: str, steps_used: int | None,
-           values: np.ndarray, errors: np.ndarray, ball: Ball | None,
+           values: np.ndarray, errors: np.ndarray, ball: Ball | Spheres,
            **meta) -> KernelTable:
-    """The table of `values` and `errors` laid out like `ball`, or by word
-    length when `ball` is None; errors are floored at 1e-15.  `meta` holds
-    the route's own entries."""
-    errors = np.maximum(errors, 1e-15)
-    if ball is None:
-        exposed = errors
+    """The table of `values` and `errors` laid out like `ball`; errors are
+    floored at 1e-15.  A state of `Spheres` holds a whole sphere, so its
+    exposed entries are divided by the sphere's exact size; sizes past the
+    radius are not formed, as they overflow a float on large ranks.
+    `meta` holds the route's own entries."""
+    exposed = ball.depth <= radius
+    if isinstance(ball, Spheres):
+        k = walk.group.params[0]
+        size = np.array([1] + [2 * k * (2 * k - 1) ** (d - 1)
+                               for d in range(1, radius + 1)], dtype=float)
+        values[exposed] /= size
+        errors[exposed] /= size
     else:
-        exposed = errors[ball.depth <= radius]
         meta["ball_size"] = len(ball)
-    meta.update(lumped=ball is None, max_entry_error=float(exposed.max()),
+    errors = np.maximum(errors, 1e-15)
+    meta.update(max_entry_error=float(errors[exposed].max()),
                 error_kind=ERROR_KINDS[method])
     return KernelTable(walk, radius, steps_used, meta, values, errors, ball)
 
 
-def _build_radial(walk: WalkSpec, radius: int, method: str) -> KernelTable:
-    k = walk.group.params[0]
-    chain_radius = radius + CHAIN_EXTRA
-    op = RadialChainOperator(k, chain_radius)
-    sphere = np.array([op.sphere_size(d) for d in range(radius + 1)], dtype=float)
-    if method == "linear-solve":
-        v_full = op.solve_green_row()[: radius + 1]
-        v_half = RadialChainOperator(
-            k, radius + CHAIN_EXTRA // 2).solve_green_row()[: radius + 1]
-        return _table(walk, radius, method, None, v_full / sphere,
-                      np.abs(v_full - v_half) / sphere, None,
-                      work_radius=chain_radius,
-                      solver={"work": "banded", "half": "banded"},
-                      dropped_mass=0.0)
-    sums, tails, n_used, dropped = _series_accumulate(
-        op, np.arange(radius + 1), SERIES_EPS * sphere.min())
-    return _table(walk, radius, method, n_used,
-                  sums[: radius + 1] / sphere, tails[: radius + 1] / sphere,
-                  None, work_radius=chain_radius, dropped_mass=dropped)
-
-
-def _build_solve(walk: WalkSpec, radius: int, margin: int) -> KernelTable:
-    if margin < 1:
-        raise ValueError(f"linear-solve needs margin >= 1, got {margin}")
-    ball = shared_ball(walk.group, radius + margin)
+def _build_solve(walk: WalkSpec, radius: int, margin: int,
+                 ball: Ball | Spheres) -> KernelTable:
     op = BallOperator.on_ball(walk, ball)
     v_full, work_solver, work_sweeps = _absorbing_green_row(op)
     # the error estimate compares with the walk killed outside a smaller
@@ -367,8 +331,8 @@ def _build_solve(walk: WalkSpec, radius: int, margin: int) -> KernelTable:
                   dropped_mass=0.0)
 
 
-def _build_series(walk: WalkSpec, radius: int, margin: int) -> KernelTable:
-    ball = shared_ball(walk.group, radius + margin)
+def _build_series(walk: WalkSpec, radius: int, margin: int,
+                  ball: Ball | Spheres) -> KernelTable:
     op = BallOperator.on_ball(walk, ball)
     sums, tails, n_used, dropped = _series_accumulate(
         op, np.flatnonzero(ball.depth <= radius), SERIES_EPS)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import greenwalk
-from greenwalk import groups
+from greenwalk import groups, kernels
 from greenwalk.errors import RangeError, TransienceError
 from greenwalk.groups import (
     GroupElement,
@@ -84,8 +84,13 @@ def test_range_error_outside_radius(request):
 
 def _check_table_range(t):
     G = t.walk.group
-    if t.meta["lumped"]:
-        far = [GroupElement("free", tuple([1, 2] * 5))]  # length 10 > radius 8
+    if t.walk.is_isotropic_free_srw:
+        # the spheres find only reduced words of F_2 up to the chain radius
+        far = [GroupElement("free", (1, 2) * 5),  # length 10 > radius 8
+               GroupElement("wreath", ((), 0)),
+               GroupElement("free", (3,)),
+               GroupElement("free", (1, -1)),
+               GroupElement("free", (1,) * (t.meta["work_radius"] + 1))]
     else:
         # a ball table holds the whole work ball; only its depth gates reads
         work = shared_ball(G, t.meta["work_radius"])
@@ -169,9 +174,16 @@ def test_harnack_constant_f2(t_f2):
     assert c == pytest.approx(3.0, abs=1e-6)
 
 
-def test_harnack_reads_depth_not_length_dict(t_f2):
+def test_harnack_reads_only_the_scan_ball(t_f2, monkeypatch):
+    radii = []
+
+    def recording_ball(G, radius):
+        radii.append(radius)
+        return shared_ball(G, radius)
+
+    monkeypatch.setattr(kernels, "shared_ball", recording_ball)
     harnack_scan(t_f2, radius=2)
-    assert "length" not in vars(shared_ball(t_f2.walk.group, 4))
+    assert radii == [2]
 
 
 def test_harnack_needs_double_radius(t_f2):
@@ -323,6 +335,39 @@ def test_non_generator_step_table_unchanged():
         assert abs(now - lu) <= 1e-14, key
 
 
+# G(e, a^d) and its error for d = 0..8 on the radius-8 F_2 SRW tables, and
+# the series' term count, as the distance chain's banded solve and
+# hand-written convolution gave them before the chain ran on the sphere
+# operator: the sphere route reproduces them bit for bit
+_SRW_TABLE = {
+    "linear-solve": (
+        [1.5, 0.5, 0.16666666666666666, 0.05555555555555555,
+         0.018518518518518517, 0.006172839506172839, 0.00205761316872428,
+         0.0006858710562414266, 0.00022862368541380886],
+        [1e-15] * 9, None),
+    "series": (
+        [1.4999999989843809, 0.49999999898438063, 0.16666666601331678,
+         0.05555555502296206, 0.0185185182156733, 0.006172839279910376,
+         0.002057613048159991, 0.0006858709709098615,
+         0.00022862364188955145],
+        [2.623034967409802e-09, 2.4467062126991586e-09,
+         1.6826450515736392e-09, 1.2771409937710848e-09,
+         7.752512731352365e-10, 5.384682239217751e-10,
+         3.059096635981316e-10, 2.0097118252510767e-10,
+         1.0915741824415878e-10], 112),
+}
+
+
+@pytest.mark.parametrize("method", ["linear-solve", "series"])
+def test_srw_table_unchanged(method):
+    t = build_kernel_table(srw_free(2), radius=8, method=method)
+    words = [GroupElement("free", (1,) * d) for d in range(9)]
+    values, errors, steps_used = _SRW_TABLE[method]
+    assert [t.green_at(g) for g in words] == values
+    assert [t.entry_error(g) for g in words] == errors
+    assert t.steps_used == steps_used
+
+
 @pytest.mark.parametrize("walk, radius, margin", [
     (product_walk(wreath_walk(2, 0.75, 0.4), srw_free(2), 0.5), 5, 2),
     (wreath_walk(2, 0.75, 0.4), 9, 6),
@@ -396,10 +441,11 @@ def test_solve_needs_margin():
 
 
 def test_entry_error_covers_f2_closed_form():
-    # the isotropic walk normally takes the radial chain; the ball route is
+    # the isotropic walk normally runs on the spheres; the ball route is
     # the one whose error bar is in question
     walk = srw_free(2)
-    t = _build_solve(walk, 4, 4)
+    t = _build_solve(walk, 4, 4, shared_ball(walk.group, 8))
+    assert t.meta["ball_size"] == len(t.values) == 13121
     exposed = shared_ball(walk.group, 4).elements
     assert len(exposed) == 161
     for g in exposed:
@@ -418,8 +464,8 @@ def test_entry_error_covers_drift_z_closed_form(t_drift):
 
 
 def test_import_leaves_scipy_solvers_unloaded():
-    """The banded and sparse LU solvers are imported where they are used,
-    so importing the package does not load them."""
+    """The sparse LU solver is imported where it is used, so importing the
+    package loads no scipy solver module."""
     env = dict(os.environ,
                PYTHONPATH=str(Path(greenwalk.__file__).resolve().parents[1]))
     code = ("import sys, greenwalk; print(sorted(m for m in sys.modules "

@@ -8,8 +8,13 @@ checkout's).  Each line names one ball or table and its sha256 digests
 (first 16 hex digits):
   ball   -- order (the serialized elements, one per line), depth and
             neighbours (the raw bytes with their dtype), for each table's
-            work ball and exposed ball;
-  table  -- values, errors (raw bytes) and meta (sorted JSON).
+            work ball and exposed ball; a table on the free SRW's spheres
+            has no work ball;
+  table  -- values, errors (raw bytes, in the layout of the table's state
+            space) and meta (sorted JSON);
+  lookup -- `green_at` and `entry_error` at every element of the exposed
+            ball, in its order (raw float bytes): the same whatever the
+            table's layout.
 Run it in both checkouts and diff the outputs.
 """
 
@@ -21,6 +26,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 
 def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
@@ -31,8 +38,8 @@ def array_digest(a) -> str:
 
 
 def tables(gw):
-    """(name, table) for the benchmark's three tables and the default
-    free, drift-Z, wreath and product tables."""
+    """(name, table) for the benchmark's three tables, the default free,
+    drift-Z, wreath and product tables, and the free SRW's series table."""
     wreath = gw.wreath_walk(2, 0.75, 0.4)
     product = gw.product_walk(wreath, gw.srw_free(2), 0.5)
     yield "bench.product_solve", gw.build_kernel_table(
@@ -42,6 +49,14 @@ def tables(gw):
             wreath, radius=9, margin=6, method=method)
     for walk in (gw.srw_free(2), gw.drift_z(0.7), wreath, product):
         yield f"default.{walk.name}", gw.build_kernel_table(walk)
+    yield "srw-free:2.series", gw.build_kernel_table(
+        gw.srw_free(2), radius=8, method="series")
+
+
+def lookup_digests(t, exposed) -> tuple[str, str]:
+    """Digests of G(e, g) and its error read at each exposed element."""
+    return tuple(array_digest(np.array([read(g) for g in exposed]))
+                 for read in (t.green_at, t.entry_error))
 
 
 def main() -> None:
@@ -54,13 +69,15 @@ def main() -> None:
 
     for name, t in tables(gw):
         G = t.walk.group
+        exposed = shared_ball(G, t.radius)
         print(f"table {name}: values {array_digest(t.values)} errors "
               f"{array_digest(t.errors)} meta "
               f"{digest(json.dumps(t.meta, sort_keys=True).encode())}")
-        if t.ball is None:
+        print("lookup {}: green_at {} entry_error {}".format(
+            name, *lookup_digests(t, exposed.elements)))
+        if not hasattr(t.ball, "elements"):
             continue
-        for label, ball in (("work", t.ball), ("exposed",
-                                               shared_ball(G, t.radius))):
+        for label, ball in (("work", t.ball), ("exposed", exposed)):
             order = "\n".join(gw.serialize_element(G, a)
                               for a in ball.elements)
             print(f"ball {name}.{label} ({G.spec()}, radius {ball.radius}, "
