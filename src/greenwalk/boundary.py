@@ -192,53 +192,46 @@ def extend_kernel(t: KernelTable, g: GroupElement, xi: BoundaryApproximant,
             "tree-end kernels are only implemented for the isotropic free "
             "SRW; use a sequence approximant for other free-group walks"
         )
+    # the witness elements were checked when the approximant was built, so
+    # each x costs one product with g^-1 and one read of x and of g^-1 x
     if at_depth is not None:
         if not 0 <= at_depth < len(xi.elements):
             raise RangeError(
                 f"witness index {at_depth} outside sequence of length "
                 f"{len(xi.elements)}"
             )
-        x = xi.elements[at_depth]
-        return t.martin(g, x), _martin_error(t, g, x)
+        read = t._kernel_read(t.walk.group.inv(g), xi.elements[at_depth])
+        if read is None:
+            raise RangeError(f"element outside table radius {t.radius}")
+        return read
     key = (t, g)
     hit = xi.cache.get(key)
     if hit is not None:
         return hit
+    ginv = t.walk.group.inv(g)
     values = []
-    last_x = None
-    G = t.walk.group
     for x in xi.elements:
-        if not (t.covers(x) and t.covers(G.mul(G.inv(g), x))):
+        read = t._kernel_read(ginv, x)
+        if read is None:
             break
-        last_x = x
-        values.append(t.martin(g, x))
+        value, err = read
+        values.append(value)
         if len(values) >= SEQUENCE_AGREEMENTS:
             tail = values[-SEQUENCE_AGREEMENTS:]
             if max(tail) - min(tail) < xi.tolerance:
-                err = abs(values[-1] - values[-2])
-                out = (values[-1], max(err, _martin_error(t, g, x)))
+                out = (value, max(abs(value - values[-2]), err))
                 xi.cache[key] = out
                 return out
     if not strict and values:
         tail = values[-min(len(values), SEQUENCE_AGREEMENTS):]
         spread = max(tail) - min(tail) if len(tail) > 1 else xi.tolerance
-        return values[-1], max(spread, _martin_error(t, g, last_x))
+        return values[-1], max(spread, err)
     raise ConvergenceError(
         f"kernel K(g, x_n) did not stabilise within tolerance "
         f"{xi.tolerance:g} over {len(values)} usable witness elements",
         achieved_depth=len(values),
         last_values=tuple(values[-4:]),
     )
-
-
-def _martin_error(t: KernelTable, g: GroupElement, x: GroupElement) -> float:
-    """First-order error bar on G(g,x)/G(e,x) from the table entries."""
-    G = t.walk.group
-    num = t.green_pair(g, x)
-    den = t.green_at(x)
-    e_num = t.entry_error(G.mul(G.inv(g), x))
-    e_den = t.entry_error(x)
-    return (e_num + (num / den) * e_den) / den
 
 
 def act_on_boundary(G: GroupModel, g: GroupElement,

@@ -10,6 +10,12 @@ to an exact rational feasibility problem, solved by fraction-free
 (integer-preserving) elimination on sparse integer rows, which gives the
 same certificate as elimination in fractions.
 
+Cell functions, tree kernels and measures meet as numpy leaf vectors on
+the depth-D cells, so a residual is a few array operations.  Every sum of
+a linear form runs left to right onto 0.0 (`measures.leaf_sum`), as the
+leaf-by-leaf loops did: `np.sum` adds pairwise, which rounds differently
+in the last bits and would move bytes of the report.
+
 The product construction couples two walks so that steps move one factor
 at a time; boundary points of a factor push forward to the product
 boundary.  The pushforward check gives an image point the factor kernel.
@@ -40,9 +46,11 @@ from .kernels import KernelTable, n_step_distribution
 from .measures import (
     MeasureModel,
     _letters,
+    _translate,
     all_cells,
     cell_name,
     leaf_ranges,
+    leaf_sum,
     leaf_vector,
     translate_cell,
 )
@@ -61,11 +69,30 @@ PUSHFORWARD_SEED = 11
 
 
 class CellFunction:
-    """Finite real combination of cylinder indicators on a free boundary."""
+    """Finite real combination of cylinder indicators on a free boundary.
+
+    The function is kept as its values on the leaves of its own depth, the
+    length of its longest word with a nonzero coefficient (0 for the zero
+    function); at a finer depth every leaf repeats the value of its
+    ancestor.
+    """
 
     def __init__(self, G: GroupModel, coeffs: dict):
+        coeffs = {tuple(w): float(c) for w, c in coeffs.items() if c != 0.0}
         self.G = G
-        self.coeffs = {tuple(w): float(c) for w, c in coeffs.items() if c != 0.0}
+        self.depth = max(map(len, coeffs), default=0)
+        self._leaves = leaf_vector(G, self.depth, coeffs.items())
+
+    @classmethod
+    def _from_leaves(cls, G: GroupModel, depth: int,
+                     leaves: np.ndarray) -> "CellFunction":
+        """The function with these values on the depth leaves, at depth 0
+        when every value is zero."""
+        f = cls.__new__(cls)
+        f.G = G
+        f.depth, f._leaves = (depth, leaves) if leaves.any() else (
+            0, np.zeros(1))
+        return f
 
     @staticmethod
     def one(G: GroupModel) -> "CellFunction":
@@ -75,33 +102,41 @@ class CellFunction:
     def indicator(G: GroupModel, word) -> "CellFunction":
         return CellFunction(G, {tuple(word): 1.0})
 
-    @property
-    def depth(self) -> int:
-        return max((len(w) for w in self.coeffs), default=0)
+    def values(self, depth: int) -> np.ndarray:
+        """Values on the depth-`depth` leaves; requires depth >= self.depth.
 
-    def values(self, depth: int) -> list:
-        """Values on the depth-`depth` leaves; requires depth >= self.depth."""
+        Each leaf repeats its depth-`self.depth` ancestor's value, added
+        onto 0.0 as a leaf_vector term is (so -0.0 reads 0.0).
+        """
         if depth < self.depth:
             raise PartitionError(
                 f"cell of depth {depth} cannot resolve a function of "
                 f"depth {self.depth}",
                 suggested_depth=self.depth,
             )
-        return leaf_vector(self.G, depth, self.coeffs.items())
+        n = leaf_ranges(self.G, depth)[()][1]
+        return 0.0 + self._leaves.repeat(n // len(self._leaves))
 
     def compose_shift(self, g: GroupElement) -> "CellFunction":
         """xi -> f(g^{-1} xi), i.e. the factor picked up when pulling an
-        operator-word function past U_g."""
-        out: dict = {}
-        for w, c in self.coeffs.items():
-            for piece in translate_cell(self.G, g, w):
-                out[piece] = out.get(piece, 0.0) + c
-        return CellFunction(self.G, out)
+        operator-word function past U_g: each leaf with a nonzero value
+        is translated by g, and its value moves to the image cells."""
+        if not self.depth:
+            return self
+        G = self.G
+        G.check(g)
+        words = all_cells(G, self.depth)
+        terms = [(piece, float(self._leaves[i]))
+                 for i in np.flatnonzero(self._leaves)
+                 for piece in _translate(G, g, words[i])]
+        # the images of disjoint leaves are disjoint, so no leaf sums twice
+        depth = max((len(piece) for piece, _ in terms), default=0)
+        return CellFunction._from_leaves(G, depth, leaf_vector(G, depth, terms))
 
     def __mul__(self, other: "CellFunction") -> "CellFunction":
         d = max(self.depth, other.depth)
-        products = zip(all_cells(self.G, d), self.values(d), other.values(d))
-        return CellFunction(self.G, {cell: a * b for cell, a, b in products})
+        return CellFunction._from_leaves(self.G, d,
+                                         self.values(d) * other.values(d))
 
     def integrate(self, m: MeasureModel):
         """(integral, standard error) against a cylinder measure."""
@@ -116,43 +151,52 @@ class CellFunction:
 
 
 def kernel_leaves(t: KernelTable, g: GroupElement, depth: int,
-                  beta: float = 1.0) -> list:
+                  beta: float = 1.0) -> np.ndarray:
     """K(g, .)^beta on each depth-`depth` leaf, exact; needs depth >= |g|.
 
     The confluence formula of free_tree_kernel_oracle, per leaf:
     K(g, xi) = F^(|g| - 2 cut) with F = 1/(2k - 1) and cut the common
-    prefix length of g and xi.  The leaves with cut >= c form the range of
-    g's length-c prefix, and each of the |g| + 1 values is converted to a
-    float once.
+    prefix length of g and xi.  The values depend on (k, g, depth, beta)
+    alone, so each is computed once per process (`_kernel_leaves`) and
+    returned read-only; the walk and depth are checked first.
     """
     if not t.walk.is_isotropic_free_srw:
         raise UnsupportedGroupError(
             "cellwise kernels are available for the isotropic free SRW only"
         )
-    word = g.data
-    if depth < len(word):
+    if depth < len(g.data):
         raise PartitionError(
-            f"cell depth {depth} below |g| = {len(word)}; kernel not "
+            f"cell depth {depth} below |g| = {len(g.data)}; kernel not "
             "constant there",
-            suggested_depth=len(word),
+            suggested_depth=len(g.data),
         )
-    G = t.walk.group
+    return _kernel_leaves(t.walk.group, g.data, depth, beta)
+
+
+@functools.lru_cache(maxsize=1024)
+def _kernel_leaves(G: GroupModel, word: tuple, depth: int,
+                   beta: float) -> np.ndarray:
+    """kernel_leaves for a checked walk and depth.  The leaves with cut >= c
+    form the range of g's length-c prefix, and each of the |g| + 1 values
+    is converted to a float once."""
     ranges = leaf_ranges(G, depth)
-    cut = [0] * ranges[()][1]
+    cut = np.zeros(ranges[()][1], dtype=np.intp)
     for c in range(1, len(word) + 1):
         lo, hi = ranges[word[:c]]
-        cut[lo:hi] = [c] * (hi - lo)
+        cut[lo:hi] = c
     F = Fraction(1, 2 * G.params[0] - 1)
-    value = [float(F ** (len(word) - 2 * c)) ** beta
-             for c in range(len(word) + 1)]
-    return [value[c] for c in cut]
+    value = np.array([float(F ** (len(word) - 2 * c)) ** beta
+                      for c in range(len(word) + 1)])
+    out = value[cut]
+    out.flags.writeable = False
+    return out
 
 
 def kernel_on_cell(t: KernelTable, g: GroupElement, cell: tuple) -> float:
     """K(g, .) on C(cell), exact; requires len(cell) >= |g|."""
     cell = tuple(cell)
     values = kernel_leaves(t, g, len(cell))
-    return values[leaf_ranges(t.walk.group, len(cell))[cell][0]]
+    return float(values[leaf_ranges(t.walk.group, len(cell))[cell][0]])
 
 
 # -- pullback masses -----------------------------------------------------------
@@ -264,31 +308,34 @@ def _cylinder_contrast(t: KernelTable, m: MeasureModel, beta: float,
 
 
 def _kernel_contrast(t: KernelTable, m: MeasureModel, beta: float,
-                     g: GroupElement, depth: int, lhs: list, rhs: list):
+                     g: GroupElement, depth: int, lhs: np.ndarray,
+                     rhs: np.ndarray):
     """|integral of (lhs - rhs * K(g, .)^beta) dm| with its standard
     error, for leaf vectors lhs and rhs at `depth`: one linear contrast of
     the leaf masses."""
-    kern = kernel_leaves(t, g, depth, beta)
-    coeff = [a - b * k for a, b, k in zip(lhs, rhs, kern)]
+    coeff = lhs - rhs * kernel_leaves(t, g, depth, beta)
     value, err = _linear_form(coeff, *_leaves(m, depth), m.n_eff)
     return abs(value), err
 
 
-def _linear_form(coeff, masses, ses, n_eff: int):
+def _linear_form(coeff: np.ndarray, masses: np.ndarray, ses: np.ndarray,
+                 n_eff: int):
     """(sum c_i * mass_i, standard error) over leaf masses; terms with
     c_i = 0 are skipped and the rest are added in leaf order.
 
     Estimated masses from a common sample are one multinomial draw, so
     Var = (sum c^2 p - (sum c p)^2) / n with plug-in masses; with
-    n_eff = 0 the per-leaf error bars add in quadrature.
+    n_eff = 0 the per-leaf error bars add in quadrature.  The squares
+    there are Python's `x ** 2` (libm pow), which rounds differently from
+    x * x for about one value in a thousand.
     """
-    terms = [(c, x, e) for c, x, e in zip(coeff, masses, ses) if c != 0.0]
-    value = sum((c * x for c, x, _ in terms), 0.0)
+    keep = coeff != 0.0
+    c, x = coeff[keep], masses[keep]
+    value = leaf_sum(c * x)
     if n_eff > 0:
-        second = sum(c * c * x for c, x, _ in terms)
-        var = max(second - value * value, 0.0) / n_eff
+        var = max(leaf_sum(c * c * x) - value * value, 0.0) / n_eff
     else:
-        var = sum((c * e) ** 2 for c, _, e in terms)
+        var = sum(ce ** 2 for ce in (c * ses[keep]).tolist())
     return value, math.sqrt(var)
 
 
@@ -383,10 +430,9 @@ def phi_curve(t: KernelTable, m: MeasureModel, n: int = 1,
     masses, ses = _leaves(m, depth)
     values, errors = [], []
     for tv in grid:
-        coeff = [0.0] * len(masses)
+        coeff = np.zeros(len(masses))
         for h, p in dist.items():
-            kern = kernel_leaves(t, h, depth, tv)
-            coeff = [c + p * k for c, k in zip(coeff, kern)]
+            coeff = coeff + p * kernel_leaves(t, h, depth, tv)
         val, err = _linear_form(coeff, masses, ses, m.n_eff)
         values.append(val)
         errors.append(err)

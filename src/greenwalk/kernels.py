@@ -15,7 +15,8 @@ Green row is the fixed point of v <- delta_e + P^T v, iterated from
 v = delta_e until a sweep leaves v unchanged in floating point; every
 iterate is a partial sum of the row, hence a lower bound on it.  A ball
 gets at most one sweep per state; past that budget its row comes from a
-sparse LU solve (`spsolve`) of (I - P^T) v = delta_e.  `meta["solver"]`
+sparse LU solve (`spsolve`) of (I - P^T) v = delta_e.  The spheres get no
+sweep at all, as their budget is too short to settle.  `meta["solver"]`
 and `meta["sweeps"]` record the route of the work-ball and half-ball
 solves.
 
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from operator import add
 
 import numpy as np
 import scipy.sparse
@@ -44,7 +46,7 @@ from .errors import (
     RangeError,
     TransienceError,
 )
-from .groups import Ball, GroupElement, shared_ball, word_length
+from .groups import Ball, GroupElement, shared_ball
 from .walks import WalkSpec
 
 RHO_SAFETY = 1.05
@@ -99,14 +101,16 @@ class BallOperator:
     `succ[k][i]` is the state reached from state i by steps[k], or -1 when
     that step leaves the ball; `start` is the identity's state.  `step` is
     the transposed transition matrix P^T in CSR form, so one step of a mass
-    vector is one matvec, and `exit[i]` is the mass that leaves the ball
-    from state i.
+    vector is one matvec, `exit[i]` is the mass that leaves the ball
+    from state i, and `depth[i]` is state i's word length.
     """
 
-    def __init__(self, walk: WalkSpec, succ: list, start: int):
+    def __init__(self, walk: WalkSpec, succ: list, start: int,
+                 depth: np.ndarray):
         self.walk = walk
         self.succ = succ
         self.start = start
+        self.depth = depth
         self.size = n = len(succ[0])
         self.probs = [p for _, p in walk.steps]
         dest = np.concatenate(succ)
@@ -141,7 +145,7 @@ class BallOperator:
                 found = map(ball.position, (G._mul(a, s) for a in ball.elements))
                 succ.append(np.array([-1 if i is None else i for i in found],
                                      dtype=np.int64))
-        return cls(walk, succ, ball.position(e))
+        return cls(walk, succ, ball.position(e), ball.depth)
 
     def restricted(self, keep: np.ndarray) -> "BallOperator":
         """The same walk killed outside the states where `keep` is True.
@@ -152,7 +156,8 @@ class BallOperator:
         renumber = np.full(self.size + 1, -1)  # the extra -1 maps an exit
         renumber[:-1][keep] = np.arange(int(np.count_nonzero(keep)))
         succ = [renumber[idx[keep]] for idx in self.succ]
-        return BallOperator(self.walk, succ, int(renumber[self.start]))
+        return BallOperator(self.walk, succ, int(renumber[self.start]),
+                            self.depth[keep])
 
     def start_vector(self) -> np.ndarray:
         v = np.zeros(self.size)
@@ -187,9 +192,10 @@ class Spheres:
     def position(self, g: GroupElement) -> int | None:
         """|g| for a reduced word of F_k of length <= radius, else None."""
         w = g.data
+        # a letter next to its inverse sums with it to 0
         if (g.kind != "free" or len(w) >= len(self.depth)
                 or not self._letters.issuperset(w)
-                or any(x == -y for x, y in zip(w, w[1:]))):
+                or 0 in map(add, w, w[1:])):
             return None
         return len(w)
 
@@ -257,6 +263,23 @@ class KernelTable:
     def martin(self, g: GroupElement, h: GroupElement) -> float:
         """Finite Martin kernel K(g, h) = G(g, h) / G(e, h)."""
         return self.green_pair(g, h) / self.green_at(h)
+
+    def _kernel_read(self, ginv: GroupElement, x: GroupElement):
+        """(K(g, x), its first-order error bar from the entry errors), or
+        None when x or g^-1 x lies outside the table.
+
+        Takes g^-1, so a caller with many x forms it once, and checks
+        neither argument: both must be canonical.  Each of x and g^-1 x is
+        read at one position, for its value and its error.
+        """
+        i = self._position(x)
+        j = None if i is None else self._position(
+            self.walk.group._mul(ginv, x))
+        if j is None:
+            return None
+        num, den = float(self.values[j]), float(self.values[i])
+        return num / den, (float(self.errors[j])
+                           + (num / den) * float(self.errors[i])) / den
 
 
 def build_kernel_table(walk: WalkSpec, radius: int | None = None,
@@ -344,9 +367,17 @@ def _absorbing_green_row(op: BallOperator):
     """(v, solver, sweeps), v[y] = G(e, y) for the walk killed outside the
     operator's states.  The iterates are partial sums of v, so they only
     grow, in floating point too as rounding is monotone; being bounded,
-    they stop changing after finitely many sweeps."""
+    they stop changing after finitely many sweeps.
+
+    A walker needs depth.max() + 1 steps to leave the states.  Where there
+    are no more states than that (the spheres, a chain), the mass still
+    inside stays near 1 for the whole budget of one sweep per state, so
+    the fixed point cannot settle and the row goes straight to `spsolve`,
+    with 0 sweeps.
+    """
+    budget = op.size if op.size > op.depth.max() + 1 else 0
     v = op.start_vector()
-    for sweep in range(1, op.size + 1):
+    for sweep in range(1, budget + 1):
         nxt = op.step @ v
         nxt[op.start] += 1.0
         if np.array_equal(nxt, v):
@@ -355,7 +386,7 @@ def _absorbing_green_row(op: BallOperator):
     import scipy.sparse.linalg  # here, so `import greenwalk` does not load it
     A = scipy.sparse.identity(op.size, format="csr") - op.step
     return (scipy.sparse.linalg.spsolve(A.tocsc(), op.start_vector()),
-            "spsolve", op.size)
+            "spsolve", budget)
 
 
 def _series_accumulate(op, exposed_idx, eps: float):
@@ -441,15 +472,16 @@ def harnack_scan(table: KernelTable, radius: int) -> float:
         )
     G = table.walk.group
     elements = shared_ball(G, radius).elements
-    inverses = [G.inv(x) for x in elements]
     # x_i^-1 x_j has length d(x_i, x_j), and G(x_i, x_j) = G(e, x_i^-1 x_j)
-    # by translation invariance; one row of these elements is kept at once
-    dist, vals = [], []
-    for inv in inverses:
-        row = [G._mul(inv, y) for y in elements]
-        dist.append([word_length(G, g) for g in row])
-        vals.append([table.green_at(g) for g in row])
-    dist, vals = np.array(dist), np.array(vals)
+    # by translation invariance; the products of canonical elements are
+    # canonical, so each is found at its table position unchecked, and
+    # that position's depth is its length
+    pos = [table._position(G._mul(inv, y))
+           for inv in map(G.inv, elements) for y in elements]
+    if None in pos:
+        raise RangeError(f"element outside table radius {table.radius}")
+    pos = np.reshape(pos, (len(elements), len(elements)))
+    dist, vals = table.ball.depth[pos], table.values[pos]
     # ratio[i, j]: the largest G(x_i, z) / G(x_j, z) over z; t -> t^(1/d)
     # increases, so that largest ratio gives the pair's candidate
     ratio = reduce(np.maximum, (np.divide.outer(v, v) for v in vals.T))

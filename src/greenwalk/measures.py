@@ -10,6 +10,11 @@ depth <= D is a contiguous range of the depth-D leaves, and a cylinder
 measure answers every cell query with a sum over a range of its leaf
 array.  Boundaries without a word structure (the two ends of Z, the
 binned wreath boundary, product partitions) use labelled cells instead.
+
+Leaf vectors are numpy float arrays, and every sum over them runs left to
+right (`leaf_sum`), as the leaf-by-leaf loops they replace did.  `np.sum`
+is not used: its pairwise order rounds differently in the last bits, and
+the report is byte-identical only if every float is.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ import functools
 import math
 import types
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import PartitionError, UnsupportedGroupError
 from .groups import GroupElement, GroupModel, parse_element, serialize_element
@@ -66,17 +73,22 @@ def leaf_ranges(G: GroupModel, depth: int) -> types.MappingProxyType:
     return types.MappingProxyType(ranges)
 
 
-def leaf_vector(G: GroupModel, depth: int, terms) -> list:
+def leaf_vector(G: GroupModel, depth: int, terms) -> np.ndarray:
     """sum of c * 1_C(w) over (w, c) in `terms`, as values on the depth
-    leaves; terms are added in the order given, words outside the tree
-    (not reduced) add nothing."""
+    leaves; terms are added onto 0.0 in the order given, words outside the
+    tree (not reduced) add nothing."""
     ranges = leaf_ranges(G, depth)
-    vec = [0.0] * ranges[()][1]
+    vec = np.zeros(ranges[()][1])
     for w, c in terms:
         lo, hi = ranges.get(tuple(w), (0, 0))
-        for i in range(lo, hi):
-            vec[i] += c
+        vec[lo:hi] += c
     return vec
+
+
+def leaf_sum(values: np.ndarray) -> float:
+    """values[0] + values[1] + ... added left to right onto 0.0, as Python's
+    `sum` adds a list; 0.0 when empty."""
+    return 0.0 + float(np.add.accumulate(values)[-1]) if len(values) else 0.0
 
 
 def cell_name(G: GroupModel, word: tuple) -> str:
@@ -99,10 +111,18 @@ def translate_cell(G: GroupModel, g: GroupElement, word: tuple) -> list:
     word = tuple(word)
     if not word:
         return [()]
+    G.check(g)
+    G.check(GroupElement("free", word))
+    return _translate(G, g, word)
+
+
+def _translate(G: GroupModel, g: GroupElement, word: tuple) -> list:
+    """translate_cell for a checked g and a nonempty reduced word; the
+    extensions it visits are reduced too, so no product is checked."""
     out = []
 
     def visit(v: tuple):
-        u = G.mul(g, GroupElement("free", v))
+        u = G._mul(g, GroupElement("free", v))
         if len(u.data) == len(g.data) - len(v):
             # the whole prefix cancelled into g; children decide
             for child in cell_children(G, v):
@@ -148,9 +168,9 @@ class MeasureModel:
         # <= D is a contiguous range; the masses and se dicts stay public
         leaves = all_cells(self.group, self.depth)
         self._ranges = leaf_ranges(self.group, self.depth)
-        self.leaf_mass = [self.masses[w] for w in leaves]
-        self._leaf_var = [self.se[w] ** 2 for w in leaves]
-        self.leaf_se = [self.cell_se(w) for w in leaves]
+        self.leaf_mass = np.array([self.masses[w] for w in leaves])
+        self._leaf_var = np.array([self.se[w] ** 2 for w in leaves])
+        self.leaf_se = np.array([self.cell_se(w) for w in leaves])
 
     # -- constructors ---------------------------------------------------------
 
@@ -198,7 +218,7 @@ class MeasureModel:
                 raise PartitionError(f"unknown bin {cell!r}", suggested_depth=0)
             return self.masses[cell]
         lo, hi = self._leaf_span(cell)
-        return sum(self.leaf_mass[lo:hi])
+        return leaf_sum(self.leaf_mass[lo:hi])
 
     def cell_se(self, cell) -> float:
         if self.kind == "dirac":
@@ -209,7 +229,7 @@ class MeasureModel:
             m = self.cell_mass(cell)
             return math.sqrt(max(m * (1.0 - m), 0.0) / self.n_eff)
         lo, hi = self._leaf_span(cell)
-        return math.sqrt(sum(self._leaf_var[lo:hi]))
+        return math.sqrt(leaf_sum(self._leaf_var[lo:hi]))
 
     def _leaf_span(self, cell) -> tuple:
         """C(cell) as a leaf range; words outside the tree are empty."""

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import ConfigError
+from .errors import ConfigError, ResourceLimitError
 from .groups import (
     GroupElement,
     GroupModel,
@@ -27,6 +27,8 @@ from .groups import (
 PROB_SUM_TOL = 1e-12
 GENERATION_RADIUS = 3
 GENERATION_STEPS = 12
+# the most elements a generation search may reach before it gives up
+GENERATION_REACH_CAP = 50_000
 
 
 @dataclass(frozen=True)
@@ -126,15 +128,26 @@ def generation_certificate(walk: WalkSpec, radius: int,
     A support that holds every generator reaches each element of the ball
     along a geodesic, so it covers the ball in `radius` steps with no
     search; any other support is searched breadth-first, with the
-    unchecked multiply since `make_walk` checked every step.  The ball is
-    in serialized order, so the missing elements are too.
+    unchecked multiply since `make_walk` checked every step, until the
+    ball is covered.  The ball is in serialized order, so the missing
+    elements are too.  A search that reaches GENERATION_REACH_CAP elements
+    before it decides raises ResourceLimitError: on a free group the
+    reached set grows like |support|^max_steps.
     """
     G = walk.group
     support = walk.support()
     if max_steps >= radius and set(G.generators()) <= set(support):
         return GenerationCertificate(radius, max_steps, True, ())
     ball = ball_enumerate(G, radius)
-    hit = {ball.position(G.identity())}  # the ball positions reached
+    hit = _reach(G, support, ball, max_steps)
+    missing = tuple(ball.elements[i] for i in range(len(ball)) if i not in hit)
+    return GenerationCertificate(radius, max_steps, not missing, missing)
+
+
+def _reach(G: GroupModel, support: tuple, ball, max_steps: int) -> set:
+    """The ball positions that products of at most max_steps support
+    elements reach; the search stops once it has reached them all."""
+    hit = {ball.position(G.identity())}
     reached = {G.identity()}
     frontier = [G.identity()]
     for _ in range(max_steps):
@@ -144,14 +157,22 @@ def generation_certificate(walk: WalkSpec, radius: int,
         for a in frontier:
             for s in support:
                 b = G._mul(a, s)
-                if b not in reached:
-                    reached.add(b)
-                    nxt.append(b)
-                    if (i := ball.position(b)) is not None:
-                        hit.add(i)
+                if b in reached:
+                    continue
+                if len(reached) == GENERATION_REACH_CAP:
+                    raise ResourceLimitError(
+                        f"walk support: generation of ball({ball.radius}) "
+                        f"not found within {max_steps} steps before the "
+                        f"search reached {GENERATION_REACH_CAP:,} elements",
+                        "generation_reach", GENERATION_REACH_CAP)
+                reached.add(b)
+                nxt.append(b)
+                if (i := ball.position(b)) is not None:
+                    hit.add(i)
+                    if len(hit) == len(ball):
+                        return hit
         frontier = nxt
-    missing = tuple(ball.elements[i] for i in range(len(ball)) if i not in hit)
-    return GenerationCertificate(radius, max_steps, not missing, missing)
+    return hit
 
 
 # -- built-in walks -----------------------------------------------------------

@@ -3,12 +3,17 @@ import copy
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import greenwalk
 from greenwalk.cli import main
 
 
@@ -74,6 +79,24 @@ def test_unknown_subcommand_exits_usage():
 def test_invalid_walk_name(capsys, tmp_path):
     cfg = write_config(tmp_path, "c.json", {"walk": "levy-flight:2"})
     assert main(["green", "--config", cfg]) == 64
+
+
+def test_unbounded_generation_search_exits_resource(tmp_path):
+    """Nine of free:5's ten generators reach about 9 * 8^11 elements in
+    12 steps; the search stops at its cap and the CLI exits 3 at once."""
+    steps = [{"elem": s, "p": 1 / 9} for s in "abcdeABCD"]
+    cfg = write_config(tmp_path, "c.json",
+                       {"walk": {"group": "free:5", "steps": steps}})
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(greenwalk.__file__).resolve().parents[1]))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "greenwalk.cli", "green",
+                           "--config", cfg], env=env, capture_output=True,
+                          text=True, timeout=120)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 3, proc.stderr
+    assert "not found within 12 steps" in proc.stderr
+    assert elapsed < 2.0
 
 
 def test_flag_overrides_config(capsys, tmp_path):

@@ -4,9 +4,12 @@ A cylinder measure keeps its depth-D leaf masses in all_cells order, in
 which every cylinder of depth <= D is a contiguous range of leaves.  The
 range sums must equal the brute-force sums over `cell_contains` exactly,
 and the cell functionals must reproduce, float for float, the values in
-leaf_functionals.json.  `record` wrote that file with the leaf-by-leaf
-implementation (one `cell_mass` scan and one tree-kernel oracle call per
-leaf), on the inputs of the session fixtures t_f2, m_exact and m_f2.
+leaf_functionals.json.  `record` wrote that file's "exact" and "estimate"
+entries with the leaf-by-leaf implementation (one `cell_mass` scan and one
+tree-kernel oracle call per leaf), on the inputs of the session fixtures
+t_f2, m_exact and m_f2, and its "kernels" entries with the element-by-element
+kernel reads (checked products and one table lookup per value and per error
+bar), on t_f2 and t_wreath.
 """
 
 import json
@@ -17,19 +20,38 @@ import random
 import pytest
 from conftest import cell_contains
 
+from greenwalk.boundary import (
+    BoundaryApproximant,
+    best_spine_candidate,
+    extend_kernel,
+    spine_candidates,
+)
 from greenwalk.conformal import (
     CellFunction,
     _cylinder_contrast,
+    kernel_leaves,
     kms_residual,
     normalization_check,
     phi_curve,
 )
-from greenwalk.groups import GroupModel, parse_element
+from greenwalk.errors import (
+    GreenwalkError,
+    PartitionError,
+    UnsupportedGroupError,
+)
+from greenwalk.groups import (
+    GroupModel,
+    parse_element,
+    serialize_element,
+    shared_ball,
+)
+from greenwalk.kernels import build_kernel_table, harnack_scan
 from greenwalk.measures import (
     MeasureModel,
     all_cells,
     translate_cell,
 )
+from greenwalk.walks import make_walk
 
 F2 = GroupModel.free(2)
 REFERENCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -143,21 +165,105 @@ def functionals(t, m) -> dict:
     return {key: list(val) for key, val in out.items()}
 
 
-def record(t, m_exact, m_f2, path=REFERENCE):
+# witness words of the F_2 sequence approximants, the acting elements, and
+# the witness indices read with at_depth (|g^-1 x_n| stays within radius 8)
+SEQUENCES = ["abAbaBAB", "bbaBBAba"]
+ACTING = ["e", "a", "B", "Ab"]
+AT_DEPTHS = (0, 2, 5)
+WREATH_LABELS = ["t+inf", "lamp0.t-inf", "flank.t+"]
+
+
+def _sequence(G, word):
+    prefixes = [parse_element(G, word[:n]) for n in range(1, len(word) + 1)]
+    return BoundaryApproximant.sequence(G, prefixes)
+
+
+def _outcome(fn, *args, **kwargs) -> tuple:
+    """fn's (value, error) pair, or the name of the error it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except GreenwalkError as exc:
+        return (type(exc).__name__,)
+
+
+def kernel_functionals(t_f2, t_wreath) -> dict:
+    """Sequence kernels, Harnack constants and spine scans on fixed inputs,
+    keyed by a readable label."""
+    out = {}
+    for word in SEQUENCES:
+        for g in ACTING:
+            xi = _sequence(F2, word)
+            out[f"extend seq={word} g={g}"] = _outcome(
+                extend_kernel, t_f2, parse_element(F2, g), xi)
+            for n in AT_DEPTHS:
+                out[f"extend seq={word} g={g} at={n}"] = _outcome(
+                    extend_kernel, t_f2, parse_element(F2, g), xi, at_depth=n)
+    W = t_wreath.walk.group
+    cands = {c.label: c for c in spine_candidates(W)}
+    for label in WREATH_LABELS:
+        for g in shared_ball(W, 1).elements:
+            name = f"wreath extend {label} g={serialize_element(W, g)}"
+            out[name] = _outcome(extend_kernel, t_wreath, g, cands[label],
+                                 strict=False)
+            for n in (0, 3):
+                out[f"{name} at={n}"] = _outcome(
+                    extend_kernel, t_wreath, g, cands[label], at_depth=n)
+    out["harnack free:2 r=3"] = (harnack_scan(t_f2, 3),)
+    out["harnack wreath:2 r=3"] = (harnack_scan(t_wreath, 3),)
+    for name, t, R in (("free:2", t_f2, 3), ("wreath:2", t_wreath, 2)):
+        for row in best_spine_candidate(t, R)["all"]:
+            out[f"spine {name} R={R} {row['label']}"] = (
+                row.get("maxDev"), row.get("maxErr"), row.get("error"))
+    return {key: list(val) for key, val in out.items()}
+
+
+def record(t, m_exact, m_f2, t_wreath, path=REFERENCE):
     """Write the reference file (run once, with the implementation the
-    leaf arrays must reproduce)."""
+    leaf arrays and kernel reads must reproduce)."""
     with open(path, "w") as f:
         json.dump({"exact": functionals(t, m_exact),
-                   "estimate": functionals(t, m_f2)}, f, indent=1)
+                   "estimate": functionals(t, m_f2),
+                   "kernels": kernel_functionals(t, t_wreath)}, f, indent=1)
         f.write("\n")
+
+
+def _assert_matches(got: dict, want: dict):
+    assert set(got) == set(want)
+    for key in want:
+        # repr also tells 0 from 0.0, which a report would print differently
+        assert list(map(repr, got[key])) == list(map(repr, want[key])), key
 
 
 @pytest.mark.parametrize("which", ["exact", "estimate"])
 def test_functionals_match_recorded(which, t_f2, m_exact, m_f2):
     with open(REFERENCE) as f:
         want = json.load(f)[which]
-    got = functionals(t_f2, m_exact if which == "exact" else m_f2)
-    assert set(got) == set(want)
-    for key in want:
-        # repr also tells 0 from 0.0, which a report would print differently
-        assert list(map(repr, got[key])) == list(map(repr, want[key])), key
+    _assert_matches(functionals(t_f2, m_exact if which == "exact" else m_f2),
+                    want)
+
+
+def test_kernel_reads_match_recorded(t_f2, t_wreath):
+    with open(REFERENCE) as f:
+        want = json.load(f)["kernels"]
+    _assert_matches(kernel_functionals(t_f2, t_wreath), want)
+
+
+def test_kernel_leaves_are_read_only(t_f2):
+    leaves = kernel_leaves(t_f2, parse_element(F2, "aB"), 4, 2.0)
+    with pytest.raises(ValueError):
+        leaves[0] = 1.0
+    assert kernel_leaves(t_f2, parse_element(F2, "aB"), 4, 2.0) is leaves
+
+
+def test_kernel_leaves_check_before_the_memo(t_f2):
+    # a lazy walk on F_2 shares the memo's key with the SRW, so a memo
+    # consulted first would answer its table with the SRW's kernels
+    lazy = make_walk(F2, {F2.identity(): 0.2,
+                          **{s: 0.2 for s in F2.generators()}})
+    t_lazy = build_kernel_table(lazy, radius=2, margin=1)
+    a = parse_element(F2, "a")
+    kernel_leaves(t_f2, a, 3)
+    with pytest.raises(UnsupportedGroupError, match="isotropic free SRW"):
+        kernel_leaves(t_lazy, a, 3)
+    with pytest.raises(PartitionError):
+        kernel_leaves(t_f2, parse_element(F2, "ab"), 1)

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from greenwalk.errors import ConfigError
+from greenwalk import walks
+from greenwalk.errors import ConfigError, ResourceLimitError
 from greenwalk.groups import GroupElement, GroupModel, parse_element
 from greenwalk.walks import (
     WalkSpec,
@@ -147,6 +148,22 @@ def test_generation_certificate():
     cert = generation_certificate(lame, 1, 12)
     assert not cert.covered
     assert any(g == G.inv(a) for g in cert.missing)
+
+
+def test_generation_search_is_capped(monkeypatch):
+    # {a, A, b} reaches tens of thousands of words in 12 steps, never B
+    monkeypatch.setattr(walks, "GENERATION_REACH_CAP", 1000)
+    G = GroupModel.free(2)
+    steps = {parse_element(G, x): 1 / 3 for x in ("a", "A", "b")}
+    with pytest.raises(ResourceLimitError, match="not found within 12 steps"):
+        make_walk(G, steps)
+    # a search that stays below the cap still decides
+    cert = generation_certificate(srw_free(2), 3, 2)
+    assert len(cert.missing) == 36
+    # the built-in walks hold every generator and do not search at all
+    monkeypatch.setattr(walks, "GENERATION_REACH_CAP", 1)
+    product_walk(wreath_walk(2, 0.75, 0.4), srw_free(3), 0.5)
+    drift_z(0.7)
 
 
 def test_walk_json_round_trip():
