@@ -16,6 +16,7 @@ import json
 import math
 import random
 import time
+from functools import partial
 
 from . import conformal as cf
 from .boundary import (
@@ -30,6 +31,7 @@ from .groups import GroupElement, GroupModel, parse_element, shared_ball
 from .kernels import build_kernel_table, harnack_scan
 from .measures import (
     MeasureModel,
+    _random_word,
     all_cells,
     cell_name,
     tree_exit_measure,
@@ -51,52 +53,30 @@ Z_LIMIT = 3.0
 # the standing wreath example: lamp order 2, right drift 0.75, lamp rate 0.4
 WREATH_Q, WREATH_ALPHA, WREATH_GAMMA = 2, 0.75, 0.4
 
+# the letters of F_2 in the order the battery's random words draw them
+_F2_LETTERS = (-2, -1, 1, 2)
 
-def _rand_word(rng: random.Random, k: int, length: int) -> tuple:
-    word = []
-    for _ in range(length):
-        choices = [s for s in range(-k, k + 1)
-                   if s != 0 and not (word and word[-1] == -s)]
-        word.append(rng.choice(choices))
-    return tuple(word)
-
-
-def _f2_table(ctx):
-    if "t_f2" not in ctx:
-        ctx["t_f2"] = build_kernel_table(srw_free(2), radius=8,
-                                         method="linear-solve")
-    return ctx["t_f2"]
-
-
-def _f2_table_deep(ctx):
+# the tables and the measure that several checks share, by ctx key
+_BUILDERS = {
+    "t_f2": lambda ctx: build_kernel_table(srw_free(2), radius=8,
+                                           method="linear-solve"),
     # sequence witnesses at depth 8 against |g| <= 4 need radius 12
-    if "t_f2_deep" not in ctx:
-        ctx["t_f2_deep"] = build_kernel_table(srw_free(2), radius=12,
-                                              method="linear-solve")
-    return ctx["t_f2_deep"]
+    "t_f2_deep": lambda ctx: build_kernel_table(srw_free(2), radius=12,
+                                                method="linear-solve"),
+    "t_drift": lambda ctx: build_kernel_table(drift_z(0.7), radius=20),
+    "t_wreath": lambda ctx: build_kernel_table(
+        wreath_walk(WREATH_Q, WREATH_ALPHA, WREATH_GAMMA)),
+    "m_f2": lambda ctx: harmonic_measure_estimate(
+        srw_free(2), depth=4, n_samples=ctx["samples"],
+        seed=ctx["seed"], workers=ctx["workers"]),
+}
 
 
-def _drift_table(ctx):
-    if "t_drift" not in ctx:
-        ctx["t_drift"] = build_kernel_table(drift_z(0.7), radius=20)
-    return ctx["t_drift"]
-
-
-def _wreath_table(ctx):
-    if "t_wreath" not in ctx:
-        ctx["t_wreath"] = build_kernel_table(
-            wreath_walk(WREATH_Q, WREATH_ALPHA, WREATH_GAMMA)
-        )
-    return ctx["t_wreath"]
-
-
-def _f2_measure(ctx):
-    if "m_f2" not in ctx:
-        ctx["m_f2"] = harmonic_measure_estimate(
-            srw_free(2), depth=4, n_samples=ctx["samples"],
-            seed=ctx["seed"], workers=ctx["workers"],
-        )
-    return ctx["m_f2"]
+def _shared(ctx, key: str):
+    """ctx[key], built on first use."""
+    if key not in ctx:
+        ctx[key] = _BUILDERS[key](ctx)
+    return ctx[key]
 
 
 def _check_green(ctx):
@@ -121,17 +101,14 @@ def _check_green(ctx):
 def _check_martin(ctx):
     """Sequence-route kernels match the confluence formula on 200 pairs."""
     G = GroupModel.free(2)
-    t = _f2_table_deep(ctx)
+    t = _shared(ctx, "t_f2_deep")
     rng = random.Random(ctx["seed"] * 1000 + 2)
+    word = partial(_random_word, _F2_LETTERS, pick=rng.randrange)
     worst = 0.0
     for _ in range(200):
-        g = GroupElement("free", _rand_word(rng, 2, rng.randint(0, 4)))
-        prefix = _rand_word(rng, 2, 8)
-        seq = []
-        x = G.identity()
-        for letter in prefix:
-            x = G.mul(x, GroupElement("free", (letter,)))
-            seq.append(x)
+        g = GroupElement("free", word(rng.randint(0, 4)))
+        prefix = word(8)
+        seq = [GroupElement("free", prefix[:i + 1]) for i in range(len(prefix))]
         xi = BoundaryApproximant.sequence(G, seq)
         val, _ = extend_kernel(t, g, xi)
         exact = float(free_tree_kernel_oracle(
@@ -144,17 +121,18 @@ def _check_martin(ctx):
 def _check_cocycle(ctx):
     """D_{gh} = D_g(h.) + D_h on 500 random triples over three groups."""
     rng = random.Random(ctx["seed"] * 1000 + 3)
+    word = partial(_random_word, _F2_LETTERS, pick=rng.randrange)
     worst = {"free": 0.0, "lattice": 0.0, "wreath": 0.0}
 
-    tf = _f2_table(ctx)
+    tf = _shared(ctx, "t_f2")
     Gf = tf.walk.group
     for _ in range(170):
-        g = GroupElement("free", _rand_word(rng, 2, rng.randint(0, 2)))
-        h = GroupElement("free", _rand_word(rng, 2, rng.randint(0, 2)))
-        xi = BoundaryApproximant.tree_end(Gf, _rand_word(rng, 2, 8))
+        g = GroupElement("free", word(rng.randint(0, 2)))
+        h = GroupElement("free", word(rng.randint(0, 2)))
+        xi = BoundaryApproximant.tree_end(Gf, word(8))
         worst["free"] = max(worst["free"], cocycle_residual(tf, g, h, xi))
 
-    td = _drift_table(ctx)
+    td = _shared(ctx, "t_drift")
     Gz = td.walk.group
     xi_z = BoundaryApproximant.sequence(
         Gz, [GroupElement("lattice", (n,)) for n in range(1, 11)])
@@ -164,7 +142,7 @@ def _check_cocycle(ctx):
         worst["lattice"] = max(
             worst["lattice"], cocycle_residual(td, g, h, xi_z, at_depth=9))
 
-    tw = _wreath_table(ctx)
+    tw = _shared(ctx, "t_wreath")
     Gw = tw.walk.group
     ball2 = shared_ball(Gw, 2).elements
     xi_w = BoundaryApproximant.sequence(
@@ -183,16 +161,17 @@ def _check_cocycle(ctx):
 def _check_harmonicity(ctx):
     """sum_s mu(s) K(gs, xi) = K(g, xi) on 200 pairs per group."""
     rng = random.Random(ctx["seed"] * 1000 + 4)
+    word = partial(_random_word, _F2_LETTERS, pick=rng.randrange)
     worst = {"free": 0.0, "lattice": 0.0, "wreath": 0.0}
 
-    tf = _f2_table(ctx)
+    tf = _shared(ctx, "t_f2")
     Gf = tf.walk.group
     for _ in range(200):
-        g = GroupElement("free", _rand_word(rng, 2, rng.randint(0, 2)))
-        xi = BoundaryApproximant.tree_end(Gf, _rand_word(rng, 2, 8))
+        g = GroupElement("free", word(rng.randint(0, 2)))
+        xi = BoundaryApproximant.tree_end(Gf, word(8))
         worst["free"] = max(worst["free"], harmonicity_residual(tf, g, xi))
 
-    td = _drift_table(ctx)
+    td = _shared(ctx, "t_drift")
     Gz = td.walk.group
     xi_z = BoundaryApproximant.sequence(
         Gz, [GroupElement("lattice", (n,)) for n in range(5, 15)])
@@ -201,7 +180,7 @@ def _check_harmonicity(ctx):
         worst["lattice"] = max(
             worst["lattice"], harmonicity_residual(td, g, xi_z, at_depth=9))
 
-    tw = _wreath_table(ctx)
+    tw = _shared(ctx, "t_wreath")
     Gw = tw.walk.group
     ball2 = shared_ball(Gw, 2).elements
     xi_w = BoundaryApproximant.sequence(
@@ -218,7 +197,7 @@ def _check_harmonicity(ctx):
 
 def _check_harnack(ctx):
     """Empirical Harnack constant on F_2 at radius 3 is 3 within 1%."""
-    C = harnack_scan(_f2_table(ctx), 3)
+    C = harnack_scan(_shared(ctx, "t_f2"), 3)
     ok = abs(C - 3.0) <= 0.03
     return ok, {"constant": C, "target": 3.0, "rel_tolerance": 0.01}
 
@@ -226,7 +205,7 @@ def _check_harnack(ctx):
 def _check_harmonic_measure(ctx):
     """10^6-path exit law: depth-1 mass 1/4, depth-2 mass 1/12, each
     within three standard errors; non-convergence under 0.1%."""
-    m = _f2_measure(ctx)
+    m = _shared(ctx, "m_f2")
     G = m.group
     worst1 = max(abs(m.cell_mass(c) - 0.25) / m.cell_se(c)
                  for c in all_cells(G, 1))
@@ -246,8 +225,8 @@ def _check_harmonic_measure(ctx):
 def _check_radon_nikodym(ctx):
     """nu(g^{-1}B) = integral over B of K(g,.) for every generator and
     every cylinder of depth <= 2."""
-    t = _f2_table(ctx)
-    m = _f2_measure(ctx)
+    t = _shared(ctx, "t_f2")
+    m = _shared(ctx, "m_f2")
     G = m.group
     gens = [parse_element(G, s) for s in ("a", "b", "A", "B")]
     cells = all_cells(G, 1) + all_cells(G, 2)
@@ -273,7 +252,7 @@ def _check_radon_nikodym(ctx):
 def _check_phi_curve(ctx):
     """Uniform depth-1 measure: Phi(0) = Phi(1) = 1, Phi(1/2) = sqrt(3)/2,
     and the default grid is convex within error."""
-    t = _f2_table(ctx)
+    t = _shared(ctx, "t_f2")
     m = uniform_depth1_measure(GroupModel.free(2))
     anchors = cf.phi_curve(t, m, 1, grid=[0.0, 0.5, 1.0])
     slack = [max(3.0 * e, 1e-9) for e in anchors.errors]
@@ -296,7 +275,7 @@ def _check_phi_curve(ctx):
 def _check_spine_drift(ctx):
     """Drifted Z walk: +inf is a spine at radius 6, K(1, -inf) = 3/7, and
     the Dirac there classifies as alternative A for every beta."""
-    t = _drift_table(ctx)
+    t = _shared(ctx, "t_drift")
     G = t.walk.group
     scan = best_spine_candidate(t, 6)
     best = scan["best"]
@@ -326,8 +305,8 @@ def _check_no_spine_free(ctx):
     """F_2 SRW: every spine candidate fails badly, invariant measures at
     depth 2 are infeasible with an exact certificate, and the classifier
     admits beta = 1 only."""
-    t = _f2_table(ctx)
-    m = _f2_measure(ctx)
+    t = _shared(ctx, "t_f2")
+    m = _shared(ctx, "m_f2")
     scan = best_spine_candidate(t, 3)
     min_dev = min(row["maxDev"] for row in scan["all"])
     feas = cf.invariant_measure_feasibility(GroupModel.free(2), 2)
@@ -348,14 +327,15 @@ def _check_no_spine_free(ctx):
 
 
 def _random_kms_word(rng: random.Random, G: GroupModel):
-    g1 = GroupElement("free", _rand_word(rng, 2, rng.randint(1, 2)))
+    word = partial(_random_word, _F2_LETTERS, pick=rng.randrange)
+    g1 = GroupElement("free", word(rng.randint(1, 2)))
     g2 = G.inv(g1)
-    c1 = _rand_word(rng, 2, rng.randint(1, 2))
+    c1 = word(rng.randint(1, 2))
     f1 = cf.CellFunction.indicator(G, c1)
     if rng.random() < 0.25:
         f2 = cf.CellFunction.one(G)
     else:
-        f2 = cf.CellFunction.indicator(G, _rand_word(rng, 2, rng.randint(1, 2)))
+        f2 = cf.CellFunction.indicator(G, word(rng.randint(1, 2)))
     return f1, g1, f2, g2
 
 
@@ -366,8 +346,8 @@ def _check_kms(ctx):
     Words whose exact beta = 2 residual (on the closed-form exit law)
     is below 0.02 test nothing on either side, so they are resampled.
     """
-    t = _f2_table(ctx)
-    m = _f2_measure(ctx)
+    t = _shared(ctx, "t_f2")
+    m = _shared(ctx, "m_f2")
     G = m.group
     oracle = tree_exit_measure(G, 4)
     rng = random.Random(ctx["seed"] * 1000 + 11)
@@ -413,13 +393,13 @@ def _check_product(ctx):
                    for g in set(marginal) | set(expected))
 
     t2 = build_kernel_table(p2)
-    t1 = _f2_table(ctx)
-    m1 = _f2_measure(ctx)
+    t1 = _shared(ctx, "t_f2")
+    m1 = _shared(ctx, "m_f2")
     G1 = m1.group
     ppc = cf.phi_map_pushforward_check(t2, t1, m1, all_cells(G1, 1))
     worst_conf_z = max(row["z"] for row in ppc["conformality"])
 
-    tw = _wreath_table(ctx)
+    tw = _shared(ctx, "t_wreath")
     wscan = best_spine_candidate(tw, 2)
     dev = wscan["best"]["maxDev"]
     push_masses = {"Phi(C(" + cell_name(G1, c) + "))": m1.cell_mass(c)

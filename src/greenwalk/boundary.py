@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ConvergenceError, RangeError, UnsupportedGroupError
-from .groups import GroupElement, GroupModel, parse_element, serialize_element
+from .groups import (GroupElement, GroupModel, parse_element,
+                     serialize_element, shared_ball)
 from .kernels import KernelTable
 
 SEQUENCE_AGREEMENTS = 3
@@ -311,8 +312,6 @@ def spine_scan(t: KernelTable, xi: BoundaryApproximant, R: int) -> dict:
     the verdict holds only for the scanned radius, and only when both
     stay under tol.
     """
-    from .groups import shared_ball
-
     tol = default_spine_tolerance(t.walk.group)
     ball = shared_ball(t.walk.group, R)
     max_dev = 0.0
@@ -328,8 +327,6 @@ def spine_scan(t: KernelTable, xi: BoundaryApproximant, R: int) -> dict:
 
 
 def default_spine_tolerance(G: GroupModel) -> float:
-    if G.kind == "lattice":
-        return SPINE_TOL_Z
     if G.kind == "wreath":
         return SPINE_TOL_WREATH
     return SPINE_TOL_Z

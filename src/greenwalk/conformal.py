@@ -46,6 +46,7 @@ from .kernels import KernelTable, n_step_distribution
 from .measures import (
     MeasureModel,
     _letters,
+    _random_word,
     _translate,
     all_cells,
     cell_name,
@@ -142,11 +143,6 @@ class CellFunction:
         """(integral, standard error) against a cylinder measure."""
         if m.kind != "cylinder":
             raise UnsupportedGroupError("cell integrals need a cylinder measure")
-        if self.depth > m.depth:
-            raise PartitionError(
-                f"measure depth {m.depth} below function depth {self.depth}",
-                suggested_depth=self.depth,
-            )
         return _linear_form(self.values(m.depth), m.leaf_mass, m.leaf_se, 0)
 
 
@@ -297,24 +293,19 @@ def _cylinder_contrast(t: KernelTable, m: MeasureModel, beta: float,
     G = m.group
     pieces = translate_cell(G, G.inv(g), B)
     need = max([len(g.data), len(B)] + [len(piece) for piece in pieces])
-    if need > m.depth:
-        raise PartitionError(
-            f"g, B and g^{{-1}}B need measure depth {need}, have {m.depth}",
-            suggested_depth=need,
-        )
+    m._check_depth(need)
     lhs = leaf_vector(G, m.depth, [(piece, 1.0) for piece in pieces])
     rhs = leaf_vector(G, m.depth, [(B, 1.0)])
-    return _kernel_contrast(t, m, beta, g, m.depth, lhs, rhs)
+    return _kernel_contrast(t, m, beta, g, lhs, rhs)
 
 
 def _kernel_contrast(t: KernelTable, m: MeasureModel, beta: float,
-                     g: GroupElement, depth: int, lhs: np.ndarray,
-                     rhs: np.ndarray):
+                     g: GroupElement, lhs: np.ndarray, rhs: np.ndarray):
     """|integral of (lhs - rhs * K(g, .)^beta) dm| with its standard
-    error, for leaf vectors lhs and rhs at `depth`: one linear contrast of
-    the leaf masses."""
-    coeff = lhs - rhs * kernel_leaves(t, g, depth, beta)
-    value, err = _linear_form(coeff, *_leaves(m, depth), m.n_eff)
+    error, for leaf vectors lhs and rhs on m's leaves: one linear contrast
+    of the leaf masses."""
+    coeff = lhs - rhs * kernel_leaves(t, g, m.depth, beta)
+    value, err = _linear_form(coeff, m.leaf_mass, m.leaf_se, m.n_eff)
     return abs(value), err
 
 
@@ -337,18 +328,6 @@ def _linear_form(coeff: np.ndarray, masses: np.ndarray, ses: np.ndarray,
     else:
         var = sum(ce ** 2 for ce in (c * ses[keep]).tolist())
     return value, math.sqrt(var)
-
-
-def _leaves(m: MeasureModel, depth: int):
-    """(masses, standard errors) of a cylinder measure m on its leaves,
-    which must resolve cells of depth `depth`."""
-    if depth > m.depth:
-        raise PartitionError(
-            f"cell at depth {depth} finer than measure depth "
-            f"{m.depth}; re-estimate deeper",
-            suggested_depth=depth,
-        )
-    return m.leaf_mass, m.leaf_se
 
 
 def _dirac_residual(t: KernelTable, m: MeasureModel, beta: float,
@@ -374,7 +353,9 @@ def normalization_check(t: KernelTable, m: MeasureModel, beta: float,
             "use conformality_residual with bin_kernels instead"
         )
     depth = max(m.depth, len(ginv.data))
-    return _linear_form(kernel_leaves(t, ginv, depth, beta), *_leaves(m, depth), 0)
+    coeff = kernel_leaves(t, ginv, depth, beta)
+    m._check_depth(depth)
+    return _linear_form(coeff, m.leaf_mass, m.leaf_se, 0)
 
 
 # -- Phi curve -------------------------------------------------------------------
@@ -425,9 +406,10 @@ def phi_curve(t: KernelTable, m: MeasureModel, n: int = 1,
         return PhiCurve(t.walk, m, n, grid, tuple(values), tuple(errors))
     if m.kind == "binned":
         raise UnsupportedGroupError("phi_curve needs a cylinder boundary")
-    # a cylinder measure shallower than the n-step reach refuses in _leaves
+    # a cylinder measure shallower than the n-step reach refuses here
     depth = max(m.depth, reach)
-    masses, ses = _leaves(m, depth)
+    m._check_depth(depth)
+    masses, ses = m.leaf_mass, m.leaf_se
     values, errors = [], []
     for tv in grid:
         coeff = np.zeros(len(masses))
@@ -702,13 +684,8 @@ def kms_residual(t: KernelTable, m: MeasureModel, beta: float,
         raise UnsupportedGroupError("KMS states need a cylinder measure")
     lhs_fn = f1 * f2.compose_shift(g1)
     rhs_fn = f2 * f1.compose_shift(g2)
-    depth = max(lhs_fn.depth, rhs_fn.depth, len(g1.data))
-    if depth > m.depth:
-        raise PartitionError(
-            f"word needs measure depth {depth}, have {m.depth}",
-            suggested_depth=depth,
-        )
-    return _kernel_contrast(t, m, beta, G.inv(g1), m.depth,
+    m._check_depth(max(lhs_fn.depth, rhs_fn.depth, len(g1.data)))
+    return _kernel_contrast(t, m, beta, G.inv(g1),
                             lhs_fn.values(m.depth), rhs_fn.values(m.depth))
 
 
@@ -748,6 +725,7 @@ def phi_map_pushforward_check(t2: KernelTable, t1: KernelTable,
             f"factor table's group {G1.spec()}"
         )
     k1 = G1.params[0]
+    letters = _letters(k1)
     rng = np.random.default_rng(PUSHFORWARD_SEED)
     ball1 = shared_ball(G1, 1)
     ball0 = shared_ball(left, 1)
@@ -755,7 +733,7 @@ def phi_map_pushforward_check(t2: KernelTable, t1: KernelTable,
     identity_rows = []
     worst_id = 0.0
     for _ in range(PUSHFORWARD_PAIRS):
-        prefix = _random_reduced_word(G1, rng, PUSHFORWARD_WITNESS_DEPTH)
+        prefix = _random_word(letters, PUSHFORWARD_WITNESS_DEPTH, idx)
         g0 = ball0.elements[idx(len(ball0.elements))]
         h = ball1.elements[idx(len(ball1.elements))]
         gh = GroupElement("product", (g0, h))
@@ -786,7 +764,7 @@ def phi_map_pushforward_check(t2: KernelTable, t1: KernelTable,
     worst_eq = 0.0
     equi_rows = []
     for _ in range(PUSHFORWARD_PAIRS):
-        prefix = _random_reduced_word(G1, rng, PUSHFORWARD_WITNESS_DEPTH + 2)
+        prefix = _random_word(letters, PUSHFORWARD_WITNESS_DEPTH + 2, idx)
         end = BoundaryApproximant.tree_end(G1, prefix)
         h = ball1.elements[idx(len(ball1.elements))]
         hp = ball1.elements[idx(len(ball1.elements))]
@@ -825,15 +803,6 @@ def phi_map_pushforward_check(t2: KernelTable, t1: KernelTable,
         "equivariance": {"max_residual": worst_eq, "pairs": equi_rows},
         "conformality": conf_rows,
     }
-
-
-def _random_reduced_word(G: GroupModel, rng, depth: int) -> tuple:
-    letters = _letters(G.params[0])
-    word = []
-    for _ in range(depth):
-        choices = [s for s in letters if not (word and word[-1] == -s)]
-        word.append(choices[rng.integers(len(choices))])
-    return tuple(word)
 
 
 def multiplicity_report(measures: list) -> dict:

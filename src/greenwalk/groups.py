@@ -87,13 +87,9 @@ class GroupModel:
     # -- basics --------------------------------------------------------------
 
     def spec(self) -> str:
-        if self.kind == "free":
-            return f"free:{self.params[0]}"
-        if self.kind == "lattice":
-            return f"lattice:{self.params[0]}"
-        if self.kind == "wreath":
-            return f"wreath:{self.params[0]}"
-        return f"product({self.factors[0].spec()},{self.factors[1].spec()})"
+        if self.kind == "product":
+            return f"product({self.factors[0].spec()},{self.factors[1].spec()})"
+        return f"{self.kind}:{self.params[0]}"
 
     def identity(self) -> GroupElement:
         if self.kind == "free":
@@ -345,18 +341,24 @@ def _parse_element(G: GroupModel, text: str) -> GroupElement:
         return GroupElement("wreath", (tuple(sorted(lamps.items())), int(pos_s)))
     if not (text.startswith("[") and text.endswith("]")):
         raise ValueError("expected '[left;right]'")
-    inner = text[1:-1]
+    parts = _split_top(text[1:-1], ";")
+    if parts is None:
+        raise ValueError("missing top-level ';' separator")
+    return GroupElement("product", (_parse_element(G.factors[0], parts[0]),
+                                    _parse_element(G.factors[1], parts[1])))
+
+
+def _split_top(text: str, sep: str) -> tuple[str, str] | None:
+    """`text` cut at its first `sep` outside brackets, or None."""
     depth = 0
-    for i, ch in enumerate(inner):
+    for i, ch in enumerate(text):
         if ch in "[{(":
             depth += 1
         elif ch in "]})":
             depth -= 1
-        elif ch == ";" and depth == 0:
-            left = _parse_element(G.factors[0], inner[:i])
-            right = _parse_element(G.factors[1], inner[i + 1 :])
-            return GroupElement("product", (left, right))
-    raise ValueError("missing top-level ';' separator")
+        elif ch == sep and depth == 0:
+            return text[:i], text[i + 1 :]
+    return None
 
 
 def parse_group(spec: str) -> GroupModel:
@@ -365,18 +367,10 @@ def parse_group(spec: str) -> GroupModel:
         raise ConfigError(f"group spec must be a string, got {spec!r}", "group")
     spec = spec.strip()
     if spec.startswith("product(") and spec.endswith(")"):
-        inner = spec[len("product(") : -1]
-        depth = 0
-        for i, ch in enumerate(inner):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                return GroupModel.product(
-                    parse_group(inner[:i]), parse_group(inner[i + 1 :])
-                )
-        raise ConfigError(f"malformed product spec {spec!r}", "group")
+        parts = _split_top(spec[len("product(") : -1], ",")
+        if parts is None:
+            raise ConfigError(f"malformed product spec {spec!r}", "group")
+        return GroupModel.product(parse_group(parts[0]), parse_group(parts[1]))
     if ":" in spec:
         head, _, arg = spec.partition(":")
         try:

@@ -37,8 +37,8 @@ MASS_TOL = 1e-9
 
 def _letters(k: int) -> list:
     """The one letter order a, b, ..., A, B, ... of F_k.  Cells, children
-    and random words all follow it, so cells come out lexicographic and
-    every cylinder is a contiguous range of leaves."""
+    and the pushforward check's random words follow it, so cells come out
+    lexicographic and every cylinder is a contiguous range of leaves."""
     return [i for i in range(1, k + 1)] + [-i for i in range(1, k + 1)]
 
 
@@ -49,16 +49,26 @@ def all_cells(G: GroupModel, depth: int) -> list:
         raise UnsupportedGroupError("cylinder cells exist on free groups only")
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    letters = _letters(G.params[0])
     words = [()]
     for _ in range(depth):
-        words = [w + (s,) for w in words for s in letters if not (w and w[-1] == -s)]
+        words = [child for w in words for child in cell_children(G, w)]
     return words
 
 
 def cell_children(G: GroupModel, word: tuple) -> list:
     return [word + (s,) for s in _letters(G.params[0])
             if not (word and word[-1] == -s)]
+
+
+def _random_word(letters, length: int, pick) -> tuple:
+    """A random reduced word of `length` letters: each letter is the
+    `pick(n)`-th of the n letters, in the order of `letters`, that do not
+    cancel the one before."""
+    word = []
+    for _ in range(length):
+        choices = [s for s in letters if not (word and word[-1] == -s)]
+        word.append(choices[pick(len(choices))])
+    return tuple(word)
 
 
 @functools.lru_cache(maxsize=64)
@@ -180,11 +190,7 @@ class MeasureModel:
                  n_eff: int = 0) -> "MeasureModel":
         cells = all_cells(G, depth)
         filled = {w: float(masses.get(w, 0.0)) for w in cells}
-        total = sum(filled.values())
-        if abs(total - 1.0) > MASS_TOL:
-            raise ValueError(f"cylinder masses sum to {total}, not 1")
-        if any(v < -MASS_TOL for v in filled.values()):
-            raise ValueError("negative cell mass")
+        _check_masses(filled, "cylinder", "cell")
         se = {w: float((se or {}).get(w, 0.0)) for w in cells}
         return MeasureModel("cylinder", G, depth=depth, masses=filled, se=se,
                             nonconverged=nonconverged, note=note, n_eff=n_eff)
@@ -193,11 +199,7 @@ class MeasureModel:
     def binned(G: GroupModel, masses: dict, se: dict | None = None,
                nonconverged: float = 0.0, note: str = "",
                n_eff: int = 0) -> "MeasureModel":
-        total = sum(masses.values())
-        if abs(total - 1.0) > MASS_TOL:
-            raise ValueError(f"bin masses sum to {total}, not 1")
-        if any(v < -MASS_TOL for v in masses.values()):
-            raise ValueError("negative bin mass")
+        _check_masses(masses, "bin", "bin")
         se = {k: float((se or {}).get(k, 0.0)) for k in masses}
         return MeasureModel("binned", G, masses=dict(masses), se=se,
                             nonconverged=nonconverged, note=note, n_eff=n_eff)
@@ -234,13 +236,17 @@ class MeasureModel:
     def _leaf_span(self, cell) -> tuple:
         """C(cell) as a leaf range; words outside the tree are empty."""
         word = tuple(cell)
-        if len(word) > self.depth:
-            raise PartitionError(
-                f"cell at depth {len(word)} finer than measure depth "
-                f"{self.depth}; re-estimate deeper",
-                suggested_depth=len(word),
-            )
+        self._check_depth(len(word))
         return self._ranges.get(word, (0, 0))
+
+    def _check_depth(self, depth: int) -> None:
+        """Refuse cells of depth `depth` when the leaves are coarser."""
+        if depth > self.depth:
+            raise PartitionError(
+                f"cell at depth {depth} finer than measure depth "
+                f"{self.depth}; re-estimate deeper",
+                suggested_depth=depth,
+            )
 
     def set_mass(self, cells) -> float:
         """Mass of a disjoint union of cells."""
@@ -281,6 +287,15 @@ class MeasureModel:
             "nonconverged": self.nonconverged,
             "note": self.note,
         }
+
+
+def _check_masses(masses: dict, total_name: str, unit: str) -> None:
+    """Refuse masses that do not sum to 1 or that are negative."""
+    total = sum(masses.values())
+    if abs(total - 1.0) > MASS_TOL:
+        raise ValueError(f"{total_name} masses sum to {total}, not 1")
+    if any(v < -MASS_TOL for v in masses.values()):
+        raise ValueError(f"negative {unit} mass")
 
 
 def _cell_sort_key(cell):

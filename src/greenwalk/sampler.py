@@ -28,7 +28,7 @@ from functools import partial
 import numpy as np
 
 from .errors import SamplingError, UnsupportedGroupError
-from .groups import GroupModel
+from .groups import GroupModel, _row_runs
 from .measures import MeasureModel
 from .rng import block_bounds, block_count, block_rng
 from .walks import WalkSpec
@@ -78,15 +78,18 @@ def _time_major(table: np.ndarray, draws: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(table[draws].T)
 
 
-def _row_counts(rows: np.ndarray):
-    """(distinct rows, counts) as lists, rows in lexicographic order: what
-    `np.unique(rows, axis=0, return_counts=True)` gives, from a lexsort of
-    the columns, which is much faster than its sort of structured rows."""
-    rows = rows[np.lexsort(rows.T[::-1])]
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    starts = np.flatnonzero(new)
-    return rows[starts].tolist(), np.diff(starts, append=len(rows)).tolist()
+def _row_counts(rows: np.ndarray, cell) -> Counter:
+    """{cell(row): count} over the distinct rows (as lists), in
+    lexicographic row order: the runs of `_row_runs` on the reversed
+    columns, much faster than `np.unique`'s sort of structured rows."""
+    counts = Counter()
+    if rows.size:
+        order, first = _row_runs(rows[:, ::-1])
+        starts = np.flatnonzero(first)
+        for row, c in zip(rows[order[starts]].tolist(),
+                          np.diff(starts, append=len(rows)).tolist()):
+            counts[cell(row)] = c
+    return counts
 
 
 def _free_letter_steps(w: WalkSpec):
@@ -169,33 +172,25 @@ def _free_block(letters, probs, depth: int, n_samples: int, horizon: int,
     ok = ((peak > depth + ESCAPE_SLACK)
           & (horizon - 1 - last_touch >= STABLE_STEPS)
           & (length > depth))
-    counts = Counter()
-    kept = words[ok, 1:depth + 1]
-    if kept.size:
-        for row, c in zip(*_row_counts(kept)):
-            counts[tuple(row)] = c
+    counts = _row_counts(words[ok, 1:depth + 1], tuple)
     return counts, int(len(ok) - int(ok.sum()))
 
 
-def _wreath_case_steps(w: WalkSpec):
-    """Step table (kind, value, prob): kind 0 lamp at pos, 1 translation."""
-    table = []
-    for s, p in w.steps:
+def _wreath_steps(w: WalkSpec):
+    """(translation, lamp increment, probability) arrays when every step
+    is a lamp increment at the origin or a unit translation."""
+    moves = []
+    for s, _ in w.steps:
         lamps, pos = s.data
         if pos == 0 and len(lamps) == 1 and lamps[0][0] == 0:
-            table.append((0, lamps[0][1], p))
+            moves.append((0, lamps[0][1]))
         elif pos in (1, -1) and not lamps:
-            table.append((1, pos, p))
+            moves.append((pos, 0))
         else:
             return None
-    return table
-
-
-def _wreath_step_arrays(table):
-    """(translation, lamp increment, probability) arrays of a step table."""
-    shift = np.array([v if k == 1 else 0 for k, v, _ in table], dtype=np.int8)
-    inc = np.array([v if k == 0 else 0 for k, v, _ in table], dtype=np.int16)
-    return shift, inc, np.array([p for _, _, p in table])
+    shift, inc = zip(*moves)
+    return (np.array(shift, dtype=np.int8), np.array(inc, dtype=np.int16),
+            np.array([p for _, p in w.steps]))
 
 
 def _wreath_paths(shift, inc, probs, q: int, n_samples: int, horizon: int,
@@ -264,11 +259,9 @@ def _wreath_block(shift, inc, probs, q: int, n_samples: int, horizon: int,
     W = WREATH_WINDOW_STORE
     ok = ((np.abs(pos) >= W + 3)
           & (horizon - 1 - last_touch >= STABLE_STEPS))
-    counts = Counter()
     kept = np.column_stack((np.sign(pos[ok]).astype(np.int16), lamps[ok]))
-    if kept.size:
-        for row, c in zip(*_row_counts(kept)):
-            counts[("+" if row[0] > 0 else "-", tuple(row[1:]))] = c
+    counts = _row_counts(
+        kept, lambda row: ("+" if row[0] > 0 else "-", tuple(row[1:])))
     return counts, int(len(ok) - int(ok.sum()))
 
 
@@ -352,14 +345,14 @@ def harmonic_measure_estimate(w: WalkSpec, depth: int, n_samples: int,
         block_fn = partial(_free_block, *steps, depth, n_samples, horizon,
                            seed)
     elif G.kind == "wreath":
-        table = _wreath_case_steps(w)
-        if table is None:
+        steps = _wreath_steps(w)
+        if steps is None:
             raise UnsupportedGroupError(
                 "wreath estimator needs lamp-at-origin and unit translation "
                 "steps"
             )
-        block_fn = partial(_wreath_block, *_wreath_step_arrays(table),
-                           G.params[0], n_samples, horizon, seed)
+        block_fn = partial(_wreath_block, *steps, G.params[0], n_samples,
+                           horizon, seed)
     elif G.kind == "lattice" and G.params[0] == 1:
         block_fn = partial(_lattice_block,
                            np.array([s.data[0] for s, _ in w.steps]),

@@ -4,17 +4,23 @@ The battery runs once per session at full scale (1e6 samples, seed 7)
 and each test reports a single PASS/FAIL line for its criterion.  The
 final test re-runs the battery single-threaded and compares reports
 byte for byte, so the determinism contract is checked across worker
-counts at full scale, not just inside check 13.
+counts at full scale, not just inside check 13.  The report's bytes are
+pinned by their sha256, so a change that moves any of them fails here.
 """
 
+import hashlib
 import json
 
 import pytest
 
 from greenwalk.acceptance import run_all, summary_lines
+from greenwalk.cli import _format_report
 
 SEED = 7
 SAMPLES = 1_000_000
+# sha256 of the seed-7 report as `greenwalk suite --seed 7 --out` writes it
+REPORT_SHA256 = ("7c4f0453f7773aa0c05b738c20e2f5f824d42fc8"
+                 "86b94f75a4075011411c3910")
 
 
 @pytest.fixture(scope="module")
@@ -113,3 +119,8 @@ def test_battery_is_green(battery):
         print(line)
     assert battery["passed"]
     assert len(battery["checks"]) == 13
+
+
+def test_report_bytes_pinned(battery):
+    text = _format_report(battery, "json")
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256

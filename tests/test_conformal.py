@@ -87,6 +87,10 @@ def test_residual_needs_depth(t_f2):
     with pytest.raises(PartitionError) as exc:
         conformality_residual(t_f2, shallow, 1.0, _el("a"), (2,))
     assert exc.value.suggested_depth >= 2
+    # a depth-3 indicator cannot be integrated on depth-1 leaves
+    with pytest.raises(PartitionError) as exc:
+        CellFunction.indicator(F2, (1, 2, 1)).integrate(shallow)
+    assert exc.value.suggested_depth == 3
 
 
 def test_dirac_at_spine_zero_for_all_beta(t_drift):

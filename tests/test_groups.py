@@ -345,7 +345,9 @@ def test_parsed_multiplied_and_ball_elements_agree(spec, text, gens):
 
 def test_parse_group_round_trip():
     for spec in ["free:2", "free:3", "lattice:1", "wreath:2",
-                 "product(wreath:2,free:2)"]:
+                 "product(wreath:2,free:2)",
+                 "product(product(free:2,lattice:1),wreath:2)",
+                 "product(lattice:2,product(wreath:3,free:2))"]:
         G = parse_group(spec)
         assert G.spec() == spec
 
@@ -379,6 +381,16 @@ def test_product_element_parsing():
     g = parse_element(P, "[{}@1;ab]")
     assert g.data[0].data == ((), 1)
     assert g.data[1].data == (1, 2)
+    # the separator is the first ';' outside brackets
+    nested = parse_group("product(product(free:2,lattice:1),wreath:2)")
+    g = parse_element(nested, "[[aB;(-3)];{-1:1,2:1}@4]")
+    assert g.data == (
+        GroupElement("product", (GroupElement("free", (1, -2)),
+                                 GroupElement("lattice", (-3,)))),
+        GroupElement("wreath", (((-1, 1), (2, 1)), 4)),
+    )
+    with pytest.raises(ConfigError):
+        parse_element(nested, "[[aB;(-3)]]")  # no top-level ';'
 
 
 def test_wreath_multiplication_moves_lamps():

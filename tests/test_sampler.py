@@ -115,7 +115,7 @@ def test_wreath_kernel_matches_path_replay(w, horizon, stable, monkeypatch):
     monkeypatch.setattr(sampler, "STABLE_STEPS", stable)
     q, n, seed = w.group.params[0], 400, 5
     W = WREATH_WINDOW_STORE
-    arrays = sampler._wreath_step_arrays(sampler._wreath_case_steps(w))
+    arrays = sampler._wreath_steps(w)
     lamps, pos, last_touch, stop = sampler._wreath_paths(
         *arrays, q, n, horizon, seed, 0)
     assert (stop < horizon - 1).sum() > n // 8
