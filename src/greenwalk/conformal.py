@@ -75,14 +75,16 @@ class CellFunction:
     The function is kept as its values on the leaves of its own depth, the
     length of its longest word with a nonzero coefficient (0 for the zero
     function); at a finer depth every leaf repeats the value of its
-    ancestor.
+    ancestor.  A function never changes (its leaf array is read-only), and
+    two functions with the same group, depth and leaf values are equal and
+    hash alike, so equal functions share the cached sides of a KMS word.
     """
 
     def __init__(self, G: GroupModel, coeffs: dict):
         coeffs = {tuple(w): float(c) for w, c in coeffs.items() if c != 0.0}
         self.G = G
         self.depth = max(map(len, coeffs), default=0)
-        self._leaves = leaf_vector(G, self.depth, coeffs.items())
+        self._leaves = _read_only(leaf_vector(G, self.depth, coeffs.items()))
 
     @classmethod
     def _from_leaves(cls, G: GroupModel, depth: int,
@@ -91,9 +93,19 @@ class CellFunction:
         when every value is zero."""
         f = cls.__new__(cls)
         f.G = G
-        f.depth, f._leaves = (depth, leaves) if leaves.any() else (
-            0, np.zeros(1))
+        f.depth, leaves = (depth, leaves) if leaves.any() else (0, np.zeros(1))
+        f._leaves = _read_only(leaves)
         return f
+
+    @functools.cached_property
+    def _key(self) -> tuple:
+        return self.G, self.depth, self._leaves.tobytes()
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CellFunction) and self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
 
     @staticmethod
     def one(G: GroupModel) -> "CellFunction":
@@ -183,9 +195,7 @@ def _kernel_leaves(G: GroupModel, word: tuple, depth: int,
     F = Fraction(1, 2 * G.params[0] - 1)
     value = np.array([float(F ** (len(word) - 2 * c)) ** beta
                       for c in range(len(word) + 1)])
-    out = value[cut]
-    out.flags.writeable = False
-    return out
+    return _read_only(value[cut])
 
 
 def kernel_on_cell(t: KernelTable, g: GroupElement, cell: tuple) -> float:
@@ -290,13 +300,34 @@ def _power_err(k: float, kerr: float, beta: float) -> float:
 
 def _cylinder_contrast(t: KernelTable, m: MeasureModel, beta: float,
                        g: GroupElement, B: tuple):
-    G = m.group
-    pieces = translate_cell(G, G.inv(g), B)
-    need = max([len(g.data), len(B)] + [len(piece) for piece in pieces])
+    need, _ = _cylinder_pieces(m.group, g, B)
     m._check_depth(need)
-    lhs = leaf_vector(G, m.depth, [(piece, 1.0) for piece in pieces])
-    rhs = leaf_vector(G, m.depth, [(B, 1.0)])
+    lhs, rhs = _cylinder_leaves(m.group, g, B, m.depth)
     return _kernel_contrast(t, m, beta, g, lhs, rhs)
+
+
+@functools.lru_cache(maxsize=256)
+def _cylinder_pieces(G: GroupModel, g: GroupElement, B: tuple):
+    """(need, pieces): g^-1 B as a tuple of cells, and the depth the
+    contrast of g and B needs; neither depends on beta, the measure or its
+    depth, so each (G, g, B) translates once."""
+    pieces = tuple(translate_cell(G, G.inv(g), B))
+    need = max([len(g.data), len(B)] + [len(piece) for piece in pieces])
+    return need, pieces
+
+
+@functools.lru_cache(maxsize=256)
+def _cylinder_leaves(G: GroupModel, g: GroupElement, B: tuple, depth: int):
+    """The indicators of g^-1 B and of B on the depth leaves, read-only;
+    once per (G, g, B, depth)."""
+    _, pieces = _cylinder_pieces(G, g, B)
+    lhs = leaf_vector(G, depth, [(piece, 1.0) for piece in pieces])
+    return _read_only(lhs), _read_only(leaf_vector(G, depth, [(B, 1.0)]))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _kernel_contrast(t: KernelTable, m: MeasureModel, beta: float,
@@ -682,11 +713,28 @@ def kms_residual(t: KernelTable, m: MeasureModel, beta: float,
         return 0.0, 0.0
     if m.kind != "cylinder":
         raise UnsupportedGroupError("KMS states need a cylinder measure")
-    lhs_fn = f1 * f2.compose_shift(g1)
-    rhs_fn = f2 * f1.compose_shift(g2)
+    lhs_fn, rhs_fn = _kms_sides(f1, g1, f2, g2)
     m._check_depth(max(lhs_fn.depth, rhs_fn.depth, len(g1.data)))
-    return _kernel_contrast(t, m, beta, G.inv(g1),
-                            lhs_fn.values(m.depth), rhs_fn.values(m.depth))
+    lhs, rhs = _kms_leaves(f1, g1, f2, g2, m.depth)
+    return _kernel_contrast(t, m, beta, G.inv(g1), lhs, rhs)
+
+
+@functools.lru_cache(maxsize=256)
+def _kms_sides(f1: CellFunction, g1: GroupElement,
+               f2: CellFunction, g2: GroupElement):
+    """The operator-word functions f1 (f2 o g1) and f2 (f1 o g2) of
+    kms_residual; they do not depend on beta or on the measure, so each
+    word builds them once."""
+    return f1 * f2.compose_shift(g1), f2 * f1.compose_shift(g2)
+
+
+@functools.lru_cache(maxsize=256)
+def _kms_leaves(f1: CellFunction, g1: GroupElement,
+                f2: CellFunction, g2: GroupElement, depth: int):
+    """The values of both `_kms_sides` functions on the depth leaves,
+    read-only; once per word and measure depth."""
+    return tuple(_read_only(f.values(depth))
+                 for f in _kms_sides(f1, g1, f2, g2))
 
 
 # -- product construction ------------------------------------------------------------

@@ -464,28 +464,64 @@ def harnack_scan(table: KernelTable, radius: int) -> float:
 
     C = max over x, y, z in B(e, radius) of (G(x,z)/G(y,z))^(1/d(x,y));
     requires table radius >= 2 * radius so that all lookups resolve.
+    G(x, y) = G(e, x^-1 y) by translation invariance, and x^-1 y has
+    length d(x, y), so the scan reads every pair at the table position of
+    x^-1 y (`_scan_positions`), found for all pairs at once.
     """
     if 2 * radius > table.radius:
         raise RangeError(
             f"harnack_scan at radius {radius} needs a table of radius "
             f">= {2 * radius}, have {table.radius}"
         )
-    G = table.walk.group
-    elements = shared_ball(G, radius).elements
-    # x_i^-1 x_j has length d(x_i, x_j), and G(x_i, x_j) = G(e, x_i^-1 x_j)
-    # by translation invariance; the products of canonical elements are
-    # canonical, so each is found at its table position unchecked, and
-    # that position's depth is its length
-    pos = [table._position(G._mul(inv, y))
-           for inv in map(G.inv, elements) for y in elements]
-    if None in pos:
+    pos = _scan_positions(table, shared_ball(table.walk.group, radius))
+    dist = table.ball.depth[pos]
+    if (pos < 0).any() or dist.max() > table.radius:
         raise RangeError(f"element outside table radius {table.radius}")
-    pos = np.reshape(pos, (len(elements), len(elements)))
-    dist, vals = table.ball.depth[pos], table.values[pos]
+    vals = table.values[pos]
     # ratio[i, j]: the largest G(x_i, z) / G(x_j, z) over z; t -> t^(1/d)
-    # increases, so that largest ratio gives the pair's candidate
+    # increases, so that largest ratio gives the pair's candidate, and the
+    # largest ratio at each distance d gives that distance's candidate
     ratio = reduce(np.maximum, (np.divide.outer(v, v) for v in vals.T))
     up = (ratio > 1.0) & (dist > 0)
-    return max([t ** (1.0 / d) for t, d in zip(ratio[up].tolist(),
-                                               dist[up].tolist())],
-               default=1.0)
+    return max([float(ratio[up & (dist == d)].max()) ** (1.0 / d)
+                for d in np.unique(dist[up]).tolist()], default=1.0)
+
+
+def _scan_positions(table: KernelTable, scan: Ball) -> np.ndarray:
+    """pos[i, j]: the table position of x_i^-1 x_j, for x the elements of
+    the ball `scan`, or -1 where that product leaves the table's states.
+
+    On the spheres the position is the length |x| + |y| - 2 (common
+    prefix of x and y).  On a work ball the column of e holds each x_i^-1,
+    found by one lookup per element; every other x_j is x_p * s for a
+    parent x_p one sphere nearer e, so x_i^-1 x_j is the neighbour of
+    x_i^-1 x_p along s, and the columns are filled sphere by sphere.
+    """
+    depth = scan.depth
+    if isinstance(table.ball, Spheres):
+        r = scan.radius
+        words = np.array([x.data + (0,) * (r - len(x.data))
+                          for x in scan.elements]).reshape(len(scan), r)
+        same = (words[:, None] == words[None]) & (words[:, None] != 0)
+        prefix = np.logical_and.accumulate(same, axis=2).sum(axis=2)
+        return depth[:, None] + depth[None] - 2 * prefix
+    G, space = table.walk.group, table.ball
+    # one (parent, generator column) pair per element other than e, from
+    # the scan ball's own neighbour table
+    src, col = np.nonzero(scan.neighbours >= 0)
+    dst = scan.neighbours[src, col]
+    out = depth[dst] == depth[src] + 1
+    child, first = np.unique(dst[out], return_index=True)
+    parent, letter = np.zeros_like(depth), np.zeros_like(depth)
+    parent[child], letter[child] = src[out][first], col[out][first]
+    # an extra row of -1 keeps a step out of the table's states at -1
+    step = np.vstack([space.neighbours,
+                      np.full(space.neighbours.shape[1], -1)])
+    pos = np.empty((len(scan), len(scan)), dtype=np.intp)
+    found = map(space.position, map(G.inv, scan.elements))
+    pos[:, scan.position(G.identity())] = [-1 if i is None else i
+                                           for i in found]
+    for d in range(1, scan.radius + 1):
+        js = np.flatnonzero(depth == d)
+        pos[:, js] = step[pos[:, parent[js]], letter[js]]
+    return pos

@@ -35,11 +35,13 @@ MASS_TOL = 1e-9
 # -- cylinder words on the tree boundary --------------------------------------
 
 
-def _letters(k: int) -> list:
+@functools.lru_cache(maxsize=16)
+def _letters(k: int) -> tuple:
     """The one letter order a, b, ..., A, B, ... of F_k.  Cells, children
     and the pushforward check's random words follow it, so cells come out
-    lexicographic and every cylinder is a contiguous range of leaves."""
-    return [i for i in range(1, k + 1)] + [-i for i in range(1, k + 1)]
+    lexicographic and every cylinder is a contiguous range of leaves.
+    Built once per k, as every child of every cell reads it."""
+    return tuple(range(1, k + 1)) + tuple(range(-1, -k - 1, -1))
 
 
 def all_cells(G: GroupModel, depth: int) -> list:

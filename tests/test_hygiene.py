@@ -1,7 +1,8 @@
 """Source hygiene: no dead top-level imports, private names or defaulted
-parameters, and a public API that resolves.
+parameters, a public API that resolves, and no unbounded cache.
 
-The checks read the package with the stdlib `ast` module only.  An
+The checks read the package with the stdlib `ast` module, except the cache
+check, which asks each imported module-level cache for its maxsize.  An
 import that a module never uses is either dead code or a silent
 re-export; `__init__.py` is the one module whose job is re-exporting, so
 it is checked through `__all__` instead.  A private module-level name
@@ -10,6 +11,7 @@ its function never reads: every caller passes a value that goes nowhere.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import greenwalk
@@ -111,3 +113,19 @@ def test_no_unread_defaulted_parameters():
 def test_public_names_resolve():
     missing = [n for n in greenwalk.__all__ if not hasattr(greenwalk, n)]
     assert not missing, missing
+
+
+def test_every_cache_is_bounded():
+    """A cache without a maxsize grows for the life of the process."""
+    sizes = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"greenwalk.{path.stem}")
+        for name, obj in vars(module).items():
+            if (hasattr(obj, "cache_parameters")
+                    and obj.__module__ == module.__name__):
+                sizes[f"{path.stem}.{name}"] = (
+                    obj.cache_parameters()["maxsize"])
+    assert {"conformal._kms_sides", "conformal._kms_leaves",
+            "conformal._cylinder_pieces", "conformal._cylinder_leaves",
+            "measures._letters"} <= set(sizes)
+    assert None not in sizes.values(), sizes

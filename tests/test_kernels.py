@@ -1,5 +1,6 @@
 import math
 import os
+from functools import reduce
 import subprocess
 import sys
 from fractions import Fraction
@@ -20,6 +21,7 @@ from greenwalk.groups import (
 )
 from greenwalk.kernels import (
     BallOperator,
+    _scan_positions,
     _absorbing_green_row,
     _build_solve,
     build_kernel_table,
@@ -172,6 +174,54 @@ def test_harnack_constant_f2(t_f2):
     # on the tree the Green ratio across one edge is exactly 1/F = 3
     c = harnack_scan(t_f2, radius=3)
     assert c == pytest.approx(3.0, abs=1e-6)
+
+
+def _pairwise_positions(table, radius):
+    """The table position of x^-1 y for each pair of the scan ball, one
+    product and one lookup per pair: the loop the vectorised scan
+    replaced, kept as its reference."""
+    G = table.walk.group
+    elements = shared_ball(G, radius).elements
+    pos = [table._position(G._mul(inv, y))
+           for inv in map(G.inv, elements) for y in elements]
+    return np.reshape(pos, (len(elements), len(elements)))
+
+
+def _pairwise_harnack(table, radius):
+    pos = _pairwise_positions(table, radius)
+    dist, vals = table.ball.depth[pos], table.values[pos]
+    ratio = reduce(np.maximum, (np.divide.outer(v, v) for v in vals.T))
+    up = (ratio > 1.0) & (dist > 0)
+    return max([t ** (1.0 / d) for t, d in zip(ratio[up].tolist(),
+                                               dist[up].tolist())],
+               default=1.0)
+
+
+def _skewed_f2_table():
+    steps = {"a": 0.35, "A": 0.15, "b": 0.3, "B": 0.2}
+    walk = make_walk(F2, {parse_element(F2, s): p for s, p in steps.items()})
+    return build_kernel_table(walk, radius=4, margin=2)
+
+
+HARNACK_TABLES = {
+    "F3-srw": lambda: build_kernel_table(srw_free(3), radius=8),
+    "F2-skewed": _skewed_f2_table,
+}
+
+
+@pytest.mark.parametrize("table, radius", [
+    # sphere tables, where a position is a length
+    ("t_f2", 2), ("t_f2", 3), ("t_f2", 4), ("F3-srw", 3),
+    # ball tables, where a position follows neighbour columns
+    ("t_wreath", 3), ("F2-skewed", 2),
+])
+def test_harnack_scan_matches_pairwise_reference(table, radius, request):
+    t = (HARNACK_TABLES[table]() if table in HARNACK_TABLES
+         else request.getfixturevalue(table))
+    want = _pairwise_positions(t, radius)
+    assert np.array_equal(
+        _scan_positions(t, shared_ball(t.walk.group, radius)), want)
+    assert harnack_scan(t, radius) == _pairwise_harnack(t, radius)
 
 
 def test_harnack_reads_only_the_scan_ball(t_f2, monkeypatch):

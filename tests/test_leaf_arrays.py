@@ -29,10 +29,17 @@ from greenwalk.boundary import (
 from greenwalk.conformal import (
     CellFunction,
     _cylinder_contrast,
+    _cylinder_leaves,
+    _cylinder_pieces,
+    _kms_leaves,
+    _kms_sides,
+    classify,
+    conformality_residual,
     kernel_leaves,
     kms_residual,
     normalization_check,
     phi_curve,
+    rn_identity_check,
 )
 from greenwalk.errors import (
     GreenwalkError,
@@ -50,6 +57,7 @@ from greenwalk.measures import (
     MeasureModel,
     all_cells,
     translate_cell,
+    tree_exit_measure,
 )
 from greenwalk.walks import make_walk
 
@@ -267,3 +275,72 @@ def test_kernel_leaves_check_before_the_memo(t_f2):
         kernel_leaves(t_lazy, a, 3)
     with pytest.raises(PartitionError):
         kernel_leaves(t_f2, parse_element(F2, "ab"), 1)
+
+
+# -- cached contrast sides ----------------------------------------------------
+
+
+def _clear_sides():
+    for cache in (_kms_sides, _kms_leaves, _cylinder_pieces, _cylinder_leaves):
+        cache.cache_clear()
+
+
+def _battery(t, measures, fresh: bool) -> list:
+    """KMS words and cylinder contrasts at three betas, RN identities and
+    the classifier's evidence on each measure; with `fresh`, every call
+    starts from empty side caches.  Each word gets new CellFunctions."""
+    el = lambda s: parse_element(F2, s)
+
+    def call(fn, *args):
+        if fresh:
+            _clear_sides()
+        return fn(*args)
+
+    out = []
+    for m in measures:
+        for beta in (0.0, 1.0, 2.0):
+            for g, c1, c2 in KMS_WORDS:
+                out.append(call(kms_residual, t, m, beta, _fn(c1), el(g),
+                                _fn(c2), F2.inv(el(g))))
+            for g, B in CONTRASTS:
+                out.append(call(conformality_residual, t, m, beta, el(g),
+                                el(B).data))
+        for g, B in CONTRASTS:
+            out.append(call(rn_identity_check, t, m, el(g), el(B).data))
+        out.append(call(classify, t, m, None).evidence)
+    return out
+
+
+def test_cached_sides_repeat_uncached_values(t_f2, m_exact, m_f2):
+    measures = [m_exact, m_f2, tree_exit_measure(F2, 5)]
+    want = _battery(t_f2, measures, fresh=True)
+    _clear_sides()
+    assert _battery(t_f2, measures, fresh=False) == want  # filling
+    assert _battery(t_f2, measures, fresh=False) == want  # all cached
+
+
+def test_equal_functions_share_their_sides(t_f2, m_f2):
+    b = parse_element(F2, "b")
+    f = CellFunction.indicator(F2, (1,))
+    same = CellFunction(F2, {(1,): 1.0, (2,): 0.0})
+    assert same is not f and same == f and hash(same) == hash(f)
+    assert f != CellFunction.indicator(F2, (2,))
+    _clear_sides()
+    want = kms_residual(t_f2, m_f2, 2.0, f, b, CellFunction.one(F2), F2.inv(b))
+    got = kms_residual(t_f2, m_f2, 2.0, same, b, CellFunction.one(F2),
+                       F2.inv(b))
+    assert got == want
+    assert _kms_sides.cache_info().currsize == 1
+    assert _kms_leaves.cache_info().currsize == 1
+
+
+def test_cached_sides_are_read_only(t_f2, m_f2):
+    f, g = CellFunction.indicator(F2, (1, 2)), parse_element(F2, "b")
+    kms_residual(t_f2, m_f2, 1.0, f, g, f, F2.inv(g))
+    conformality_residual(t_f2, m_f2, 1.0, g, (1,))
+    arrays = [f._leaves, *_cylinder_leaves(F2, g, (1,), m_f2.depth),
+              *_kms_leaves(f, g, f, F2.inv(g), m_f2.depth),
+              *(h._leaves for h in _kms_sides(f, g, f, F2.inv(g)))]
+    for leaves in arrays:
+        with pytest.raises(ValueError):
+            leaves[0] = 1.0

@@ -9,8 +9,13 @@ W in verdicts and tables.  Then each checkout runs one traced round
 (`--trace 1`), and a probe that draws the verdicts job's two sampled
 exit laws (F2, 100,000 paths, depths 4 and 5, 2 workers) and reports the
 peak RSS of the probe process and of its largest child (RUSAGE_CHILDREN),
-which perfbench's `peak_rss_mb` does not see.  `src_lines` repeats each
-side's line count of src/greenwalk/*.py from its perfbench environment.
+which perfbench's `peak_rss_mb` does not see.  A second probe runs the
+verdicts job of each checkout's perfbench/worker.py in-process, GC_RUNS
+times, and records every generation-2 collection with its duration in ms
+and where it fell: in set-up, in a timed call (the part of the job that
+`wall_s` sums) or between timed calls (`gc_probe`).  `src_lines` repeats
+each side's line count of src/greenwalk/*.py from its perfbench
+environment.
 
 Per end-to-end metric, `gain_met` says whether the change is better in
 at least 9 of 10 pairs and its median beats the parent's by more than the
@@ -40,6 +45,43 @@ for depth in (4, 5):
 mb = lambda who: resource.getrusage(who).ru_maxrss / 1024
 print(json.dumps({{"self_mb": mb(resource.RUSAGE_SELF),
                   "children_mb": mb(resource.RUSAGE_CHILDREN)}}))
+"""
+GC_RUNS = 3
+GC_PROBE = """
+import contextlib, gc, io, json, sys, time
+sys.path.insert(0, "perfbench")
+import worker
+state = {{"where": "setup", "timed": False, "start": 0.0}}
+collections = []
+def on_gc(phase, info):
+    if info["generation"] != 2:
+        return
+    if phase == "start":
+        state["start"] = time.perf_counter()
+        return
+    where = "timed" if state["timed"] else state["where"]
+    collections.append({{"where": where,
+                        "ms": 1e3 * (time.perf_counter() - state["start"])}})
+gc.callbacks.append(on_gc)
+call, setup_done = worker.Job.call, worker.Job.setup_done
+def timed_call(self, part, *args, **kwargs):
+    outer = state["timed"]
+    state["timed"] = outer or bool(part)
+    try:
+        return call(self, part, *args, **kwargs)
+    finally:
+        state["timed"] = outer
+def end_of_setup(self):
+    state["where"] = "untimed"
+    setup_done(self)
+worker.Job.call, worker.Job.setup_done = timed_call, end_of_setup
+with contextlib.redirect_stdout(io.StringIO()):
+    worker.main(["--job", "verdicts", "--seed", "{seed}",
+                 "--t0", repr(time.time()),
+                 "--reference", "perfbench/reference.json"])
+print(json.dumps({{where: {{"count": len(ms), "ms": ms}} for where, ms in (
+    (w, [c["ms"] for c in collections if c["where"] == w])
+    for w in ("setup", "timed", "untimed"))}}))
 """
 
 
@@ -94,7 +136,7 @@ def main(argv=None) -> int:
     seed = str(args.seed)
     result = {"command": " ".join(["tools/bench_compare.py", *sys.argv[1:]]),
               "environment": {}, "end_to_end": {}, "per_layer": {},
-              "sampler_probe_rss_mb": {}}
+              "sampler_probe_rss_mb": {}, "gc_probe": {}}
     with open(os.path.join(roots["change"], "BENCHMARK.json")) as fh:
         better = {m["name"]: m["better"]
                   for m in json.load(fh)["end_to_end"]}
@@ -131,6 +173,10 @@ def main(argv=None) -> int:
                                cwd=root, env=env, capture_output=True,
                                text=True, check=True)
         result["sampler_probe_rss_mb"][side] = json.loads(probe.stdout)
+        result["gc_probe"][side] = [json.loads(subprocess.run(
+            [sys.executable, "-c", GC_PROBE.format(seed=seed)], cwd=root,
+            env=env, capture_output=True, text=True, check=True).stdout)
+            for _ in range(GC_RUNS)]
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=1, sort_keys=True)
         fh.write("\n")
