@@ -31,6 +31,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
@@ -348,8 +349,8 @@ def _linear_form(coeff: np.ndarray, masses: np.ndarray, ses: np.ndarray,
     Estimated masses from a common sample are one multinomial draw, so
     Var = (sum c^2 p - (sum c p)^2) / n with plug-in masses; with
     n_eff = 0 the per-leaf error bars add in quadrature.  The squares
-    there are Python's `x ** 2` (libm pow), which rounds differently from
-    x * x for about one value in a thousand.
+    there are Python's `pow(x, 2)` (libm pow), which rounds differently
+    from x * x for about one value in a thousand.
     """
     keep = coeff != 0.0
     c, x = coeff[keep], masses[keep]
@@ -357,7 +358,7 @@ def _linear_form(coeff: np.ndarray, masses: np.ndarray, ses: np.ndarray,
     if n_eff > 0:
         var = max(leaf_sum(c * c * x) - value * value, 0.0) / n_eff
     else:
-        var = sum(ce ** 2 for ce in (c * ses[keep]).tolist())
+        var = sum(map(pow, (c * ses[keep]).tolist(), repeat(2)))
     return value, math.sqrt(var)
 
 

@@ -402,9 +402,10 @@ class Ball:
     """
 
     def __init__(self, group: GroupModel, radius: int, codes, rows, depth,
-                 table):
+                 table, by_key):
         """The ball of the elements that `codes` codes as rows[k], with
-        word lengths depth[k] and neighbour rows table[k] (-1 outside)."""
+        word lengths depth[k] and neighbour rows table[k] (-1 outside);
+        `by_key` lists the rows in the order of their search keys."""
         n = len(rows)
         by_form = np.lexsort(codes.units(rows, ""))  # position -> row
         rank = np.full(n + 1, -1, dtype=np.int32)  # row -> position; -1 stays
@@ -412,9 +413,8 @@ class Ball:
         self.group, self.radius, self.depth = group, radius, depth[by_form]
         self.neighbours = rank[table[by_form]]
         self._codes, self._rows = codes, rows[by_form]
-        keys = _keys(self._rows)
-        self._at = np.argsort(keys)  # the position of each key in key order
-        self._keys = keys[self._at]
+        self._at = rank[by_key]  # the position of each key in key order
+        self._keys = _keys(rows[by_key])
 
     def __len__(self):
         return len(self.depth)
@@ -467,9 +467,9 @@ def ball_enumerate(G: GroupModel, radius: int,
     if size > cap:
         raise _cap_error(G, radius, cap)
     codes = _Codes(G, radius)
-    rows, sizes, table = _code_search(codes)
+    rows, sizes, table, by_key = _code_search(codes)
     return Ball(G, radius, codes, rows, np.repeat(np.arange(radius + 1), sizes),
-                table)
+                table, by_key)
 
 
 class _Codes:
@@ -705,14 +705,16 @@ def _keys(rows: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(rows, ">i8").view(f"V{8 * rows.shape[1]}")[:, 0]
 
 
-def _code_search(codes: _Codes) -> tuple[np.ndarray, list, np.ndarray]:
-    """The codes of B(radius) sphere by sphere, the sphere sizes, and the
-    neighbour table in that order (-1 outside the ball).
+def _code_search(codes: _Codes) -> tuple:
+    """The codes of B(radius) sphere by sphere, the sphere sizes, the
+    neighbour table in that order (-1 outside the ball), and the order of
+    the codes' search keys (`_keys`).
 
     A generator moves the word length by at most one, so the next sphere
     is the distinct products of the current one that lie in neither it
-    nor the previous one.  The neighbour of a product is the ball code at
-    the head of its run when ball and product codes are sorted together.
+    nor the previous one.  Once the ball is complete, each sphere's
+    products are looked up among the ball's sorted keys, one sphere at a
+    time.
     """
     cur = codes.identity
     prev = cur[:0]
@@ -727,17 +729,19 @@ def _code_search(codes: _Codes) -> tuple[np.ndarray, list, np.ndarray]:
             old = len(prev) + len(cur)
             prev, cur = cur, rows[order[first & (order >= old)]]
     ball = np.concatenate(spheres)
-    n = len(ball)
-    rows = np.concatenate([ball] + [s.reshape(-1, ball.shape[1])
-                                    for s in steps])
-    del steps
-    order, first = _row_runs(rows)
-    head = order[np.maximum.accumulate(
-        np.where(first, np.arange(len(rows)), 0))]
-    table = np.empty(len(rows) - n, dtype=np.int32)
-    query = order >= n
-    table[order[query] - n] = np.where(head < n, head, -1)[query]
-    return ball, [len(s) for s in spheres], table.reshape(n, -1)
+    keys = _keys(ball)
+    by_key = np.argsort(keys)
+    keys = keys[by_key]
+    table = np.empty((len(ball), steps[0].shape[1]), dtype=np.int32)
+    start = 0
+    for product in steps:
+        query = _keys(product.reshape(-1, ball.shape[1]))
+        i = keys.searchsorted(query)
+        i[i == len(keys)] = 0  # past the last key: no match
+        table[start:start + len(product)] = np.where(
+            keys[i] == query, by_key[i], -1).reshape(len(product), -1)
+        start += len(product)
+    return ball, [len(s) for s in spheres], table, by_key
 
 
 def _row_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -785,26 +789,34 @@ def _product_ball(G: GroupModel, radius: int, cap: int) -> Ball:
         raise _cap_error(G, radius, cap) from None
     dl, dr = L.depth, R.depth
     r_order = np.argsort(dr, kind="stable")
-    r_rank = np.empty_like(r_order)
+    r_rank = np.empty(len(R), dtype=np.int32)
     r_rank[r_order] = np.arange(len(R))
     within = np.cumsum(R.sphere_sizes())  # |B_R(d)| for d = 0..radius
     counts = within[radius - dl]  # admissible j for each i
     n = int(counts.sum())  # sum over a+b <= r of |S_L(a)| * |S_R(b)|
     if n > cap:
         raise _cap_error(G, radius, cap)
-    offset = np.zeros(len(L) + 1, dtype=np.int64)
+    offset = np.zeros(len(L) + 1, dtype=np.int32)
     np.cumsum(counts, out=offset[1:])
     I = np.repeat(np.arange(len(L)), counts)
     J = r_order[np.arange(n) - offset[I]]
-    li, rj = L.neighbours[I], R.neighbours[J]
-    table = np.hstack([
-        np.where((li >= 0) & (dl[li] + dr[J][:, None] <= radius),
-                 offset[li] + r_rank[J][:, None], -1),
-        np.where((rj >= 0) & (dl[I][:, None] + dr[rj] <= radius),
-                 offset[I][:, None] + r_rank[rj], -1),
-    ])
-    return Ball(G, radius, _PairCodes(L, R), (I * len(R) + J)[:, None],
-                dl[I] + dr[J], table)
+    # a left step keeps j and a right step keeps i; each neighbour column
+    # is filled in int32, one at a time
+    table = np.full((n, L.neighbours.shape[1] + R.neighbours.shape[1]), -1,
+                    dtype=np.int32)
+    room, at = radius - dr[J], r_rank[J]
+    for c, li in enumerate(L.neighbours.T):
+        li = li[I]
+        np.copyto(table[:, c], offset[li] + at,
+                  where=(li >= 0) & (dl[li] <= room))
+    room, at = radius - dl[I], offset[:-1][I]
+    for c, rj in enumerate(R.neighbours.T, L.neighbours.shape[1]):
+        rj = rj[J]
+        np.copyto(table[:, c], at + r_rank[rj],
+                  where=(rj >= 0) & (dr[rj] <= room))
+    ids = I * len(R) + J
+    return Ball(G, radius, _PairCodes(L, R), ids[:, None], dl[I] + dr[J],
+                table, np.argsort(ids))
 
 
 def _cap_error(G: GroupModel, radius: int, cap: int) -> ResourceLimitError:

@@ -100,9 +100,10 @@ class BallOperator:
 
     `succ[k][i]` is the state reached from state i by steps[k], or -1 when
     that step leaves the ball; `start` is the identity's state.  `step` is
-    the transposed transition matrix P^T in CSR form, so one step of a mass
-    vector is one matvec, `exit[i]` is the mass that leaves the ball
-    from state i, and `depth[i]` is state i's word length.
+    the transposed transition matrix P^T in canonical CSR form (each row's
+    sources sorted, no duplicates), so one step of a mass vector is one
+    matvec, `exit[i]` is the mass that leaves the ball from state i, and
+    `depth[i]` is state i's word length.
     """
 
     def __init__(self, walk: WalkSpec, succ: list, start: int,
@@ -113,14 +114,15 @@ class BallOperator:
         self.depth = depth
         self.size = n = len(succ[0])
         self.probs = [p for _, p in walk.steps]
-        dest = np.concatenate(succ)
-        src = np.tile(np.arange(n), len(succ))
-        mass = np.repeat(self.probs, n)
-        inside = dest >= 0
-        self.step = scipy.sparse.csr_matrix(
-            (mass[inside], (dest[inside], src[inside])), shape=(n, n))
-        self.exit = np.bincount(src[~inside], weights=mass[~inside],
-                                minlength=n)
+        self.exit = np.zeros(n)
+        for dest, p in zip(succ, self.probs):
+            self.exit[dest < 0] += p
+        # scipy transposes by a counting sort, so each row of P^T lists its
+        # sources in order, and the steps from one source to one state
+        # (the spheres' outward steps) sit together in step order, where
+        # sum_duplicates adds them left to right with no sort
+        self.step = _transition_csr(succ, self.probs).T.tocsr()
+        self.step.sum_duplicates()
 
     @classmethod
     def on_ball(cls, walk: WalkSpec, ball: Ball) -> "BallOperator":
@@ -140,11 +142,11 @@ class BallOperator:
             if s in column:
                 succ.append(ball.neighbours[:, column[s]])
             elif s == e:
-                succ.append(np.arange(len(ball)))
+                succ.append(np.arange(len(ball), dtype=np.int32))
             else:
                 found = map(ball.position, (G._mul(a, s) for a in ball.elements))
                 succ.append(np.array([-1 if i is None else i for i in found],
-                                     dtype=np.int64))
+                                     dtype=np.int32))
         return cls(walk, succ, ball.position(e), ball.depth)
 
     def restricted(self, keep: np.ndarray) -> "BallOperator":
@@ -153,7 +155,8 @@ class BallOperator:
         Kept states keep their order, so restricting a ball's operator to
         a sub-ball gives the operator built on that sub-ball.
         """
-        renumber = np.full(self.size + 1, -1)  # the extra -1 maps an exit
+        # the extra -1 maps an exit
+        renumber = np.full(self.size + 1, -1, dtype=np.int32)
         renumber[:-1][keep] = np.arange(int(np.count_nonzero(keep)))
         succ = [renumber[idx[keep]] for idx in self.succ]
         return BallOperator(self.walk, succ, int(renumber[self.start]),
@@ -168,6 +171,18 @@ class BallOperator:
         """One step of the killed walk; returns (new_vec, dropped_mass)."""
         # a numpy sum, not a BLAS dot: threaded BLAS can take ms per call
         return self.step @ vec, float((vec * self.exit).sum())
+
+
+def _transition_csr(succ: list, probs: list) -> scipy.sparse.csr_matrix:
+    """P in CSR form, straight from the successor columns: row x lists the
+    states that x's steps reach inside, in step order."""
+    cols = np.column_stack(succ)
+    inside = cols >= 0
+    indptr = np.zeros(len(cols) + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(inside, axis=1), out=indptr[1:])
+    return scipy.sparse.csr_matrix(
+        (np.broadcast_to(probs, cols.shape)[inside], cols[inside], indptr),
+        shape=(len(cols), len(cols)))
 
 
 class Spheres:
@@ -396,16 +411,27 @@ def _series_accumulate(op, exposed_idx, eps: float):
     The tail bound per entry is max(term/rho_safe^n over the last 4 terms)
     * rho_safe^{n+1}/(1-rho_safe), a geometric envelope calibrated on the
     trailing terms; heuristic because rho_hat, the latest even-step
-    (mu^n(e))^{1/n}, estimates the true spectral radius from below.
+    (mu^n(e))^{1/n}, estimates the true spectral radius from below.  The
+    last four terms are kept with their scales rho_safe^n, the test reads
+    the envelope at the exposed entries only, and the full envelope is
+    formed once, for the result.
     """
     vec = op.start_vector()
     start = op.start
     sums = vec.copy()
     dropped = 0.0
-    window: list[np.ndarray] = []
+    window: list[tuple[np.ndarray, float]] = []  # (term, rho_safe^n)
     rho_hat = 0.0
     n = 0
-    tails = np.full_like(vec, np.inf)
+    factor = None  # rho_safe^(n+1) / (1 - rho_safe) at the last test
+
+    def tails(idx=slice(None)):
+        envelope = reduce(np.maximum, (term[idx] / scale
+                                       for term, scale in window))
+        envelope *= factor[0]
+        envelope /= factor[1]
+        return envelope
+
     while n < SERIES_N_CAP:
         vec, d = op.convolve(vec)
         dropped += d
@@ -420,15 +446,15 @@ def _series_accumulate(op, exposed_idx, eps: float):
                     f"safety-inflated spectral radius {rho_safe:.8f} too close "
                     "to 1; series tail cannot be bounded"
                 )
-            window.append(vec / rho_safe**n)
+            window.append((vec, rho_safe**n))
             if len(window) > 4:
                 window.pop(0)
             if n % 2 == 0 and len(window) >= 4:
-                envelope = np.maximum.reduce(window)
-                tails = envelope * rho_safe ** (n + 1) / (1.0 - rho_safe)
-                if float(tails[exposed_idx].max()) <= eps:
-                    return sums, tails, n, dropped
-    best = float(tails[exposed_idx].max()) if np.isfinite(tails).any() else float("inf")
+                factor = rho_safe ** (n + 1), 1.0 - rho_safe
+                if float(tails(exposed_idx).max()) <= eps:
+                    return sums, tails(), n, dropped
+    full = tails()  # SERIES_N_CAP is even, so the last term was tested
+    best = float(full[exposed_idx].max()) if np.isfinite(full).any() else float("inf")
     raise PrecisionError(
         f"series tail {best:.3e} still above eps={eps:.3e} after {n} terms",
         best_bound=best,

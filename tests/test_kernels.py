@@ -3,11 +3,13 @@ import os
 from functools import reduce
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 import greenwalk
 from greenwalk import groups, kernels
@@ -358,6 +360,75 @@ def test_restricted_operator_equals_smaller_ball(walk):
     assert (sub.size, sub.start) == (fresh.size, fresh.start)
     assert [list(a) for a in sub.succ] == [list(b) for b in fresh.succ]
     assert sub.probs == fresh.probs
+
+
+def _coo_operator(op):
+    """P^T and the exit mass as scipy builds them from COO triples: one
+    (destination, source, probability) per step that stays inside, with
+    duplicate entries summed."""
+    n = op.size
+    dest = np.concatenate(op.succ)
+    src = np.tile(np.arange(n), len(op.succ))
+    mass = np.repeat(op.probs, n)
+    inside = dest >= 0
+    step = scipy.sparse.csr_matrix(
+        (mass[inside], (dest[inside], src[inside])), shape=(n, n))
+    return step, np.bincount(src[~inside], weights=mass[~inside], minlength=n)
+
+
+def _uniform_walk(G):
+    return make_walk(G, {s: 1.0 / len(G.generators()) for s in G.generators()})
+
+
+@pytest.mark.parametrize("walk, space, keep", [
+    pytest.param(srw_free(k), kernels.Spheres(k, 12), None,
+                 id=f"spheres-{k}") for k in (2, 3, 9)
+] + [
+    pytest.param(srw_free(3), kernels.Spheres(3, 12), 7,
+                 id="spheres-restricted"),
+    pytest.param(_ab_walk(), 4, None, id="ab"),
+    pytest.param(_ab_walk(), 5, 3, id="ab-restricted"),
+    pytest.param(product_walk(wreath_walk(2, 0.75, 0.4), _lazy_f2(), 0.5), 4,
+                 None, id="product-hold"),
+    pytest.param(_uniform_walk(GroupModel.lattice(40)), 2, None,
+                 id="lattice40-two-words"),
+])
+def test_operator_csr_matches_coo_reference(walk, space, keep):
+    """The operator's CSR arrays and exit mass equal scipy's COO build,
+    bytes and dtypes, on the spheres of F_2, F_3 and F_9 (whose 2k - 1
+    outward steps, and the identity's 2k steps, land on one entry), a
+    walk with a non-generator step, a walk that holds, restricted
+    operators (keeping depth <= keep), and a ball whose codes take two
+    int64 words (lattice:40 at radius 2, 80 generators).  `space` is the
+    state space or the radius of a ball."""
+    if isinstance(space, int):
+        space = ball_enumerate(walk.group, space)
+    op = BallOperator.on_ball(walk, space)
+    if keep is not None:
+        op = op.restricted(op.depth <= keep)
+    ref, exit = _coo_operator(op)
+    assert ref.has_canonical_format
+    for key in ("indptr", "indices", "data"):
+        got, want = getattr(op.step, key), getattr(ref, key)
+        assert got.dtype == want.dtype, key
+        assert got.tobytes() == want.tobytes(), key
+    assert op.exit.dtype == exit.dtype
+    assert op.exit.tobytes() == exit.tobytes()
+
+
+def test_product_ball_and_operator_peak_memory():
+    """The product ball at radius 7 (15,910 elements) and its operator are
+    built with no ball-sized int64 temporaries: traced peak 2.8 MiB, where
+    the joint sort of ball and products, the int64 neighbour blocks and
+    the COO build of the operator took 5.3 MiB."""
+    walk = product_walk(wreath_walk(2, 0.75, 0.4), srw_free(2), 0.5)
+    tracemalloc.start()
+    try:
+        BallOperator.on_ball(walk, ball_enumerate(walk.group, 7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 # (fixed-point value, sparse-LU value): the first is the table's own

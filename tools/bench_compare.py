@@ -5,17 +5,21 @@
 
 Each pair runs `perfbench/run.py --workload W` (60-s runs) in both
 checkouts, parent first in even pairs and change first in odd ones, for
-W in verdicts and tables.  Then each checkout runs one traced round
-(`--trace 1`), and a probe that draws the verdicts job's two sampled
-exit laws (F2, 100,000 paths, depths 4 and 5, 2 workers) and reports the
-peak RSS of the probe process and of its largest child (RUSAGE_CHILDREN),
-which perfbench's `peak_rss_mb` does not see.  A second probe runs the
-verdicts job of each checkout's perfbench/worker.py in-process, GC_RUNS
-times, and records every generation-2 collection with its duration in ms
-and where it fell: in set-up, in a timed call (the part of the job that
-`wall_s` sums) or between timed calls (`gc_probe`).  `src_lines` repeats
-each side's line count of src/greenwalk/*.py from its perfbench
-environment.
+W in verdicts and tables.  Then the checkouts run TRACED_ROUNDS traced
+rounds each (`--trace 1`), in alternating order, and every per-layer
+metric is the median over a side's rounds (the rounds themselves are
+kept under `per_layer_rounds`).  A probe draws the verdicts job's two
+sampled exit laws (F2, 100,000 paths, depths 4 and 5, 2 workers) and
+reports the peak RSS of the probe process and of its largest child
+(RUSAGE_CHILDREN), which perfbench's `peak_rss_mb` does not see.  A
+second probe runs each checkout's perfbench/worker.py in-process, GC_RUNS
+times per job of GC_JOBS (verdicts and the three tables jobs), and
+records every generation-2 collection with its duration in ms and where
+it fell: in set-up, in a timed call (the part of the job that `wall_s`
+sums) or between timed calls, together with the gc counts at the end of
+set-up and the job's own `maxrss_mb` (`gc_probe`), so that the job behind
+a change of `peak_rss_mb` shows.  `src_lines` repeats each side's line
+count of src/greenwalk/*.py from its perfbench environment.
 
 Per end-to-end metric, `gain_met` says whether the change is better in
 at least 9 of 10 pairs and its median beats the parent's by more than the
@@ -46,12 +50,15 @@ mb = lambda who: resource.getrusage(who).ru_maxrss / 1024
 print(json.dumps({{"self_mb": mb(resource.RUSAGE_SELF),
                   "children_mb": mb(resource.RUSAGE_CHILDREN)}}))
 """
+TRACED_ROUNDS = 3
 GC_RUNS = 3
+GC_JOBS = ("verdicts", "tables:product_solve", "tables:wreath_solve",
+           "tables:wreath_series")
 GC_PROBE = """
 import contextlib, gc, io, json, sys, time
 sys.path.insert(0, "perfbench")
 import worker
-state = {{"where": "setup", "timed": False, "start": 0.0}}
+state = {{"where": "setup", "timed": False, "start": 0.0, "counts": None}}
 collections = []
 def on_gc(phase, info):
     if info["generation"] != 2:
@@ -73,15 +80,19 @@ def timed_call(self, part, *args, **kwargs):
         state["timed"] = outer
 def end_of_setup(self):
     state["where"] = "untimed"
+    state["counts"] = gc.get_count()
     setup_done(self)
 worker.Job.call, worker.Job.setup_done = timed_call, end_of_setup
-with contextlib.redirect_stdout(io.StringIO()):
-    worker.main(["--job", "verdicts", "--seed", "{seed}",
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    worker.main(["--job", "{job}", "--seed", "{seed}",
                  "--t0", repr(time.time()),
                  "--reference", "perfbench/reference.json"])
-print(json.dumps({{where: {{"count": len(ms), "ms": ms}} for where, ms in (
+job = json.loads(out.getvalue().splitlines()[-1])
+print(json.dumps({{**{{where: {{"count": len(ms), "ms": ms}} for where, ms in (
     (w, [c["ms"] for c in collections if c["where"] == w])
-    for w in ("setup", "timed", "untimed"))}}))
+    for w in ("setup", "timed", "untimed"))}},
+    "setup_done_counts": state["counts"], "maxrss_mb": job["maxrss_mb"],
+    "failed": job["failed"]}}))
 """
 
 
@@ -162,21 +173,29 @@ def main(argv=None) -> int:
     result["src_lines"] = {side: env["src_lines"]
                            for side, env in result["environment"].items()}
     env = dict(os.environ, **THREAD_ENV)
+    rounds = {"parent": [], "change": []}
+    for i in range(TRACED_ROUNDS):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            traced = perfbench(roots[side], "--workload", "verdicts",
+                               "--seed", seed, "--trace", "1")
+            rounds[side].append({"failed": traced["failed"], **{
+                name: m["value"] for name, m in traced["metrics"].items()}})
+    result["per_layer_rounds"] = rounds
+    for side, runs in rounds.items():
+        result["per_layer"][side] = {name: statistics.median(
+            r[name] for r in runs) for name in runs[0]}
+        result["per_layer"][side]["failed"] = sum(r["failed"] for r in runs)
     for side, root in roots.items():
-        traced = perfbench(root, "--workload", "verdicts", "--seed", seed,
-                           "--trace", "1")
-        result["per_layer"][side] = {
-            name: m["value"] for name, m in traced["metrics"].items()}
-        result["per_layer"][side]["failed"] = traced["failed"]
         env["PYTHONPATH"] = os.path.join(root, "src")
         probe = subprocess.run([sys.executable, "-c", PROBE.format(seed=seed)],
                                cwd=root, env=env, capture_output=True,
                                text=True, check=True)
         result["sampler_probe_rss_mb"][side] = json.loads(probe.stdout)
-        result["gc_probe"][side] = [json.loads(subprocess.run(
-            [sys.executable, "-c", GC_PROBE.format(seed=seed)], cwd=root,
-            env=env, capture_output=True, text=True, check=True).stdout)
-            for _ in range(GC_RUNS)]
+        result["gc_probe"][side] = {job: [json.loads(subprocess.run(
+            [sys.executable, "-c", GC_PROBE.format(job=job, seed=seed)],
+            cwd=root, env=env, capture_output=True, text=True,
+            check=True).stdout) for _ in range(GC_RUNS)] for job in GC_JOBS}
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=1, sort_keys=True)
         fh.write("\n")

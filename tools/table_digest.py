@@ -14,7 +14,11 @@ checkout's).  Each line names one ball or table and its sha256 digests
             space) and meta (sorted JSON);
   lookup -- `green_at` and `entry_error` at every element of the exposed
             ball, in its order (raw float bytes): the same whatever the
-            table's layout.
+            table's layout;
+  operator -- the CSR arrays of the step operator P^T (`indptr`,
+            `indices`, `data`, with their dtypes) and `exit`, on each
+            table's state space ("work") and restricted to the half
+            ball of the linear-solve error estimate ("half").
 Run it in both checkouts and diff the outputs.
 """
 
@@ -66,6 +70,7 @@ def main() -> None:
     sys.path.insert(0, args.src)
     import greenwalk as gw
     from greenwalk.groups import shared_ball
+    from greenwalk.kernels import BallOperator
 
     for name, t in tables(gw):
         G = t.walk.group
@@ -75,6 +80,14 @@ def main() -> None:
               f"{digest(json.dumps(t.meta, sort_keys=True).encode())}")
         print("lookup {}: green_at {} entry_error {}".format(
             name, *lookup_digests(t, exposed.elements)))
+        work = BallOperator.on_ball(t.walk, t.ball)
+        margin = t.meta["work_radius"] - t.radius
+        half = work.restricted(t.ball.depth <= t.radius + max(1, margin // 2))
+        for label, op in (("work", work), ("half", half)):
+            print(f"operator {name}.{label} ({op.size} states): " + " ".join(
+                f"{key} {array_digest(a)}" for key, a in (
+                    ("indptr", op.step.indptr), ("indices", op.step.indices),
+                    ("data", op.step.data), ("exit", op.exit))))
         if not hasattr(t.ball, "elements"):
             continue
         for label, ball in (("work", t.ball), ("exposed", exposed)):
