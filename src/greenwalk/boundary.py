@@ -127,41 +127,32 @@ def parse_approximant(group: GroupModel, text: str,
 # -- tree geometry ------------------------------------------------------------
 
 
-def _common_prefix_len(a: tuple, b: tuple) -> int:
-    n = 0
-    for x, y in zip(a, b):
-        if x != y:
-            break
-        n += 1
-    return n
-
-
 def free_tree_kernel_oracle(k: int, g: GroupElement,
                             end: BoundaryApproximant) -> Fraction:
-    """Exact K(g, xi) for the isotropic SRW on F_k, as a rational.
-
-    The walk from g first meets the geodesic ray of xi at the confluence
-    c (the longest common prefix of g and the ray), and each edge of
-    tree distance costs one factor of the first-visit probability
-    F = 1/(2k-1).  Hence K(g, xi) = F^(d(g,c) - d(e,c)) = F^(|g| - 2|c|).
-    Only meaningful for the uniform-step walk; callers pair it with an
-    SRW table.
-    """
+    """Exact K(g, xi) for the isotropic SRW on F_k: `tree_kernel` at the
+    confluence of g and the ray of xi.  Callers pair it with an SRW table."""
     if end.kind != "tree_end":
         raise UnsupportedGroupError("oracle takes tree ends only")
     if k < 2:
         raise ValueError("free rank must be >= 2")
-    word = g.data
-    cut = _common_prefix_len(word, end.prefix)
-    if cut == len(end.prefix) and len(word) > cut:
+    word, ray, cut = g.data, end.prefix, 0
+    while cut < min(len(word), len(ray)) and word[cut] == ray[cut]:
+        cut += 1
+    if cut == len(ray) and len(word) > cut:
         raise ConvergenceError(
-            f"end known to depth {len(end.prefix)} cannot separate an "
+            f"end known to depth {len(ray)} cannot separate an "
             f"element of length {len(word)}; deepen the prefix",
-            achieved_depth=len(end.prefix),
+            achieved_depth=len(ray),
             last_values=(),
         )
-    F = Fraction(1, 2 * k - 1)
-    return F ** (len(word) - 2 * cut)
+    return tree_kernel(k, len(word), cut)
+
+
+def tree_kernel(k: int, length: int, cut: int) -> Fraction:
+    """K(g, xi) of the isotropic SRW on F_k, |g| = `length`, whose walk first
+    meets the ray of xi at their common prefix c of `cut` letters: each edge
+    costs F = 1/(2k-1), so K = F^(d(g,c) - d(e,c)) = F^(length - 2 cut)."""
+    return Fraction(1, 2 * k - 1) ** (length - 2 * cut)
 
 
 # -- extended kernels ---------------------------------------------------------

@@ -40,6 +40,7 @@ from .boundary import (
     act_on_boundary,
     extend_kernel,
     free_tree_kernel_oracle,
+    tree_kernel,
 )
 from .errors import PartitionError, UnsupportedGroupError
 from .groups import GroupElement, GroupModel, serialize_element, shared_ball
@@ -163,11 +164,10 @@ def kernel_leaves(t: KernelTable, g: GroupElement, depth: int,
                   beta: float = 1.0) -> np.ndarray:
     """K(g, .)^beta on each depth-`depth` leaf, exact; needs depth >= |g|.
 
-    The confluence formula of free_tree_kernel_oracle, per leaf:
-    K(g, xi) = F^(|g| - 2 cut) with F = 1/(2k - 1) and cut the common
-    prefix length of g and xi.  The values depend on (k, g, depth, beta)
-    alone, so each is computed once per process (`_kernel_leaves`) and
-    returned read-only; the walk and depth are checked first.
+    `tree_kernel` per leaf, with cut the common prefix length of g and
+    the leaf.  The values depend on (k, g, depth, beta) alone, so each is
+    computed once per process (`_kernel_leaves`) and returned read-only;
+    the walk and depth are checked first.
     """
     if not t.walk.is_isotropic_free_srw:
         raise UnsupportedGroupError(
@@ -186,17 +186,14 @@ def kernel_leaves(t: KernelTable, g: GroupElement, depth: int,
 def _kernel_leaves(G: GroupModel, word: tuple, depth: int,
                    beta: float) -> np.ndarray:
     """kernel_leaves for a checked walk and depth.  The leaves with cut >= c
-    form the range of g's length-c prefix, and each of the |g| + 1 values
-    is converted to a float once."""
+    are the range of g's length-c prefix, so the |g| + 1 values, each made
+    a float once, are written shortest prefix first."""
     ranges = leaf_ranges(G, depth)
-    cut = np.zeros(ranges[()][1], dtype=np.intp)
-    for c in range(1, len(word) + 1):
+    value = np.empty(ranges[()][1])
+    for c in range(len(word) + 1):
         lo, hi = ranges[word[:c]]
-        cut[lo:hi] = c
-    F = Fraction(1, 2 * G.params[0] - 1)
-    value = np.array([float(F ** (len(word) - 2 * c)) ** beta
-                      for c in range(len(word) + 1)])
-    return _read_only(value[cut])
+        value[lo:hi] = float(tree_kernel(G.params[0], len(word), c)) ** beta
+    return _read_only(value)
 
 
 def kernel_on_cell(t: KernelTable, g: GroupElement, cell: tuple) -> float:
@@ -214,7 +211,7 @@ def cell_pullback_mass(m: MeasureModel, g: GroupElement, B):
     the two-end bins of Z; other binned measures have no pullback rule."""
     G = m.group
     if m.kind == "cylinder":
-        cells = translate_cell(G, G.inv(g), tuple(B))
+        _, cells = _cylinder_pieces(G, g, tuple(B))
         return m.set_mass(cells), m.set_se(cells)
     if m.kind == "dirac":
         # labelled atoms used here sit at group-fixed boundary points
@@ -580,17 +577,14 @@ def _feasibility(G: GroupModel, depth: int) -> dict:
         )
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    ranges = leaf_ranges(G, depth)
-    nvar = ranges[()][1]
+    nvar = leaf_ranges(G, depth)[()][1]
     rows, labels = [], []
 
     def add(terms, rhs: int, label: str):
-        row = {}
-        for w, c in terms:
-            lo, hi = ranges.get(w, (0, 0))
-            for i in range(lo, hi):
-                row[i] = row.get(i, 0) + c
-        row = {i: c for i, c in row.items() if c}
+        # small integer coefficients, so the float sums are exact
+        vec = leaf_vector(G, depth, terms)
+        cols = np.flatnonzero(vec)
+        row = dict(zip(cols.tolist(), vec[cols].astype(int).tolist()))
         if row:
             if rhs:
                 row[nvar] = rhs
@@ -601,15 +595,16 @@ def _feasibility(G: GroupModel, depth: int) -> dict:
     add([((), 1)], 1, "total mass = 1")
     skipped = 0
     for g in G.generators():
+        g_name = serialize_element(G, g)
         for d in range(0, depth + 1):
             for v in all_cells(G, d):
                 pieces = translate_cell(G, g, v)
                 if any(len(p) > depth for p in pieces):
                     skipped += 1
                     continue
+                v_name = cell_name(G, v)
                 add([(p, 1) for p in pieces] + [(v, -1)], 0,
-                    f"{serialize_element(G, g)}*C({cell_name(G, v)}) "
-                    f"= C({cell_name(G, v)})")
+                    f"{g_name}*C({v_name}) = C({v_name})")
     result = _rational_solve(rows, nvar, labels)
     result["depth"] = depth
     result["skipped_constraints"] = skipped

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from itertools import repeat
 from math import comb
+from operator import add
 from typing import NamedTuple
 
 import numpy as np
@@ -28,6 +29,7 @@ from .errors import ConfigError, RepresentationError, ResourceLimitError
 BALL_CAP_DEFAULT = 5_000_000
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
+_INT = frozenset((int,))
 
 
 class GroupElement(NamedTuple):
@@ -110,18 +112,10 @@ class GroupModel:
                 f"element kind {a.kind!r} does not match group {self.spec()!r}"
             )
         if self.kind == "free":
-            k = self.params[0]
-            word = a.data
-            for s in word:
-                if not isinstance(s, int) or s == 0 or abs(s) > k:
-                    raise RepresentationError(
-                        f"letter {s!r} out of range for {self.spec()}"
-                    )
-            for x, y in zip(word, word[1:]):
-                if x == -y:
-                    raise RepresentationError(
-                        f"word {word!r} is not reduced"
-                    )
+            if not is_reduced_word(self.params[0], a.data):
+                raise RepresentationError(
+                    f"{a.data!r} is not a reduced word of {self.spec()}"
+                )
         elif self.kind == "lattice":
             if len(a.data) != self.params[0] or not all(
                 isinstance(x, int) for x in a.data
@@ -241,6 +235,19 @@ class GroupModel:
         return tuple(gens)
 
 
+@lru_cache(maxsize=64)
+def _free_letters(k: int) -> frozenset:
+    return frozenset(range(-k, k + 1)) - {0}
+
+
+def is_reduced_word(k: int, word: tuple) -> bool:
+    """The reduced-word rule of F_k: int letters (no bool or float) in
+    +-1..+-k, none next to its inverse, with which it sums to 0."""
+    return (_INT.issuperset(map(type, word))
+            and _free_letters(k).issuperset(word)
+            and 0 not in map(add, word, word[1:]))
+
+
 def _free_concat(a: tuple, b: tuple) -> tuple:
     """Concatenate two reduced words, cancelling at the junction."""
     out = list(a)
@@ -302,17 +309,12 @@ def _parse_element(G: GroupModel, text: str) -> GroupElement:
         if text in ("", _serialize(G, G.identity())):
             return G.identity()
         if "." in text or text.lstrip("+-").isdigit() and k > 26:
-            letters = [int(p) for p in text.split(".")]
-        else:
-            letters = []
-            for ch in text:
-                idx = _LETTERS.find(ch.lower())
-                if idx < 0 or idx >= k:
-                    raise ValueError(f"letter {ch!r} out of range for F_{k}")
-                letters.append(-(idx + 1) if ch.isupper() else idx + 1)
-        word = _free_concat((), tuple(letters))
-        if len(word) != len(letters):
-            raise ValueError("word is not reduced")
+            word = tuple(int(p) for p in text.split("."))
+        else:  # a character that is not a letter reads as 0
+            word = tuple((-1 if ch.isupper() else 1)
+                         * (_LETTERS.find(ch.lower()) + 1) for ch in text)
+        if not is_reduced_word(k, word):
+            raise ValueError(f"{word!r} is not a reduced word of F_{k}")
         return GroupElement("free", word)
     if G.kind == "lattice":
         d = G.params[0]
@@ -558,12 +560,14 @@ class _Codes:
 
     def key(self, g: GroupElement):
         """The search key (`_keys`) of g's code, or None when g has another
-        kind or shape or a digit of g leaves its radix."""
+        kind or shape, is not reduced, or a digit of g leaves its radix."""
         G, r = self.G, self.radius
         if g.kind != G.kind or G.kind == "lattice" and len(g.data) != len(
                 self.radix):
             return None
         if G.kind == "free":  # generator j is digit j + 1
+            if not is_reduced_word(G.params[0], g.data):
+                return None
             moves = [(i, 2 * abs(x) - (x > 0)) for i, x in enumerate(g.data, 1)]
         elif G.kind == "lattice":
             moves = list(enumerate(g.data))

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import add
 
 import numpy as np
 import scipy.sparse
@@ -46,7 +45,7 @@ from .errors import (
     RangeError,
     TransienceError,
 )
-from .groups import Ball, GroupElement, shared_ball
+from .groups import Ball, GroupElement, is_reduced_word, shared_ball
 from .walks import WalkSpec
 
 RHO_SAFETY = 1.05
@@ -202,15 +201,13 @@ class Spheres:
         inward = np.append(1, self.depth[:-1])
         outward = np.append(self.depth[1:], -1)
         self.neighbours = np.column_stack([inward] + [outward] * (2 * k - 1))
-        self._letters = frozenset(range(-k, k + 1)) - {0}
+        self._k = k
 
     def position(self, g: GroupElement) -> int | None:
         """|g| for a reduced word of F_k of length <= radius, else None."""
         w = g.data
-        # a letter next to its inverse sums with it to 0
         if (g.kind != "free" or len(w) >= len(self.depth)
-                or not self._letters.issuperset(w)
-                or 0 in map(add, w, w[1:])):
+                or not is_reduced_word(self._k, w)):
             return None
         return len(w)
 

@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PartitionError, UnsupportedGroupError
-from .groups import GroupElement, GroupModel, parse_element, serialize_element
+from .groups import (GroupElement, GroupModel, is_reduced_word, parse_element,
+                     serialize_element)
 
 MASS_TOL = 1e-9
 
@@ -58,19 +59,26 @@ def all_cells(G: GroupModel, depth: int) -> list:
 
 
 def cell_children(G: GroupModel, word: tuple) -> list:
-    return [word + (s,) for s in _letters(G.params[0])
-            if not (word and word[-1] == -s)]
+    return [word + (s,) for s in _followers(_letters(G.params[0]), word[-1:])]
 
 
-def _random_word(letters, length: int, pick) -> tuple:
+def _random_word(letters: tuple, length: int, pick) -> tuple:
     """A random reduced word of `length` letters: each letter is the
-    `pick(n)`-th of the n letters, in the order of `letters`, that do not
-    cancel the one before."""
-    word = []
+    `pick(n)`-th of the n letters, in the order of `letters`, that may
+    follow the one before."""
+    word = ()
     for _ in range(length):
-        choices = [s for s in letters if not (word and word[-1] == -s)]
-        word.append(choices[pick(len(choices))])
-    return tuple(word)
+        choices = _followers(letters, word[-1:])
+        word += (choices[pick(len(choices))],)
+    return word
+
+
+@functools.lru_cache(maxsize=256)
+def _followers(letters: tuple, last: tuple) -> tuple:
+    """The letters of F_k, in the order of `letters`, that may follow a
+    reduced word whose `[-1:]` is `last`."""
+    k = len(letters) // 2
+    return tuple(s for s in letters if is_reduced_word(k, last + (s,)))
 
 
 @functools.lru_cache(maxsize=64)

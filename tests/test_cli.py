@@ -268,11 +268,15 @@ def test_suite_small(tmp_path, capsys):
     ("spine-scan", {"seed": 3, "workers": 1}),
     ("harmonic", {"samples": 1000, "depth": 2, "tolerance": 1e-3}),
     ("suite", {"tolerance": 1e-3}),
+    # letters past F_30's +-30 in the dotted form
+    ("martin", {"walk": "srw-free:30", "g": "+31", "h": "+1", "radius": 2}),
+    ("kms", {"walk": "srw-free:30", "f1": "+31", "g1": "+1", "depth": 1,
+             "samples": 1000, "radius": 2}),
 ], ids=["martin-end", "phi-grid", "phi-grid-nan", "phi-grid-inf",
         "phi-grid-neg-inf", "phi-grid-huge-int", "walk-p", "martin-g-int", "martin-end-int",
         "walk-no-p", "walk-name-arg", "walk-json-text", "horizon-too-long",
         "green-seed", "martin-workers", "spine-scan-seed", "harmonic-tolerance",
-        "suite-tolerance"])
+        "suite-tolerance", "martin-g-letter-range", "kms-f1-letter-range"])
 def test_malformed_input_exits_usage(capsys, tmp_path, command, payload):
     cfg = write_config(tmp_path, "c.json", payload)
     assert main([command, "--config", cfg]) == 64

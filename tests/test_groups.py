@@ -1,3 +1,4 @@
+import random
 import re
 
 import numpy as np
@@ -18,6 +19,8 @@ from greenwalk.groups import (
     serialize_element,
     word_length,
 )
+from greenwalk.kernels import Spheres
+from greenwalk.measures import _letters, _random_word, all_cells
 
 F2 = GroupModel.free(2)
 Z = GroupModel.lattice(1)
@@ -115,6 +118,65 @@ def test_wreath_canonical_form_rejected():
         W.check(GroupElement("wreath", (((0, 2),), 0)))  # value = q is not reduced
     with pytest.raises(RepresentationError):
         W.check(GroupElement("wreath", (((0, 1), (0, 1)), 0)))  # repeated site
+
+
+# (k, word, a text form of it for the parser or None, is it reduced)
+REDUCED_WORD_CASES = [
+    (2, (), "e", True),
+    (2, (1, -2, -1), "aBA", True),
+    (2, (2, 1, 2), "+2.+1.+2", True),
+    (2, (1, 0), "+1.+0", False),
+    (2, (3,), "c", False),
+    (2, (1, -3), "+1.-3", False),
+    (2, (2, -2), "bB", False),
+    (2, (True,), None, False),
+    (2, (1.0,), None, False),
+    (30, (), "e", True),
+    (30, (30, -29, 1), "+30.-29.+1", True),
+    (30, (5,), "+5", True),
+    (30, (0,), "0", False),
+    (30, (31,), "+31", False),
+    (30, (1, -31), "+1.-31", False),
+    (30, (7, -7), "+7.-7", False),
+    (30, (2, True), None, False),
+    (30, (1.0, 2), None, False),
+]
+
+
+@pytest.mark.parametrize("k, word, text, reduced", REDUCED_WORD_CASES)
+def test_reduced_word_rule_agrees(k, word, text, reduced):
+    """check, the lookups of the spheres and of a free ball, and the
+    parser apply one rule: int letters in +-1..+-k, none next to its
+    inverse."""
+    G = GroupModel.free(k)
+    g = GroupElement("free", word)
+    ball = groups.shared_ball(G, 2)
+    i = ball.position(g)
+    assert (i is not None) == (reduced and len(word) <= 2)
+    assert i is None or ball.elements[i] == g
+    if reduced:
+        G.check(g)
+        assert Spheres(k, 4).position(g) == len(word)
+        assert parse_element(G, text) == g
+        return
+    with pytest.raises(RepresentationError):
+        G.check(g)
+    assert Spheres(k, 4).position(g) is None
+    if text is not None:
+        with pytest.raises(ConfigError):
+            parse_element(G, text)
+
+
+@pytest.mark.parametrize("k, depth", [(2, 4), (30, 2)])
+def test_generated_words_are_reduced(k, depth):
+    """Cells and random words, in both letter orders, pass check."""
+    G = GroupModel.free(k)
+    rng = random.Random(k)
+    words = [w for d in range(depth + 1) for w in all_cells(G, d)]
+    for letters in (_letters(k), _letters(k)[::-1]):
+        words += [_random_word(letters, 6, rng.randrange) for _ in range(200)]
+    for w in words:
+        G.check(GroupElement("free", w))
 
 
 def test_kind_mismatch_rejected():

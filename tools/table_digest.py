@@ -18,7 +18,11 @@ checkout's).  Each line names one ball or table and its sha256 digests
   operator -- the CSR arrays of the step operator P^T (`indptr`,
             `indices`, `data`, with their dtypes) and `exit`, on each
             table's state space ("work") and restricted to the half
-            ball of the linear-solve error estimate ("half").
+            ball of the linear-solve error estimate ("half");
+  feasibility -- `invariant_measure_feasibility` on F_2 at depths 0-3 and
+            on F_3 at depth 2: the feasible flag, and the certificate's
+            multipliers and the pivot solution (depth 0 is the one
+            feasible case) as JSON, in their order.
 Run it in both checkouts and diff the outputs.
 """
 
@@ -39,6 +43,12 @@ def digest(data: bytes) -> str:
 
 def array_digest(a) -> str:
     return digest(str(a.dtype).encode() + b":" + a.tobytes())
+
+
+def json_digest(obj) -> str:
+    """Digest of `obj` as JSON, dict keys in their order, Fractions as
+    their str."""
+    return digest(json.dumps(obj, default=str).encode())
 
 
 def tables(gw):
@@ -72,6 +82,13 @@ def main() -> None:
     from greenwalk.groups import shared_ball
     from greenwalk.kernels import BallOperator
 
+    for k, depth in ((2, 0), (2, 1), (2, 2), (2, 3), (3, 2)):
+        feas = gw.invariant_measure_feasibility(gw.GroupModel.free(k), depth)
+        parts = (feas.get("certificate", {}).get("multipliers"),
+                 feas.get("solution"))
+        print(f"feasibility free:{k} depth {depth}: feasible "
+              f"{feas['feasible']} multipliers {json_digest(parts[0])} "
+              f"solution {json_digest(parts[1])}")
     for name, t in tables(gw):
         G = t.walk.group
         exposed = shared_ball(G, t.radius)
