@@ -577,14 +577,24 @@ def _feasibility(G: GroupModel, depth: int) -> dict:
         )
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    nvar = leaf_ranges(G, depth)[()][1]
+    ranges = leaf_ranges(G, depth)
+    nvar = ranges[()][1]
     rows, labels = [], []
 
     def add(terms, rhs: int, label: str):
-        # small integer coefficients, so the float sums are exact
-        vec = leaf_vector(G, depth, terms)
-        cols = np.flatnonzero(vec)
-        row = dict(zip(cols.tolist(), vec[cols].astype(int).tolist()))
+        # sum of c * 1_C(w) on the leaves, from the edges of the ranges:
+        # each run between two edges holds one value
+        edges = {}
+        for w, c in terms:
+            lo, hi = ranges.get(w, (0, 0))
+            if lo < hi:
+                edges[lo] = edges.get(lo, 0) + c
+                edges[hi] = edges.get(hi, 0) - c
+        row, level, start = {}, 0, 0
+        for x in sorted(edges):
+            if level:
+                row.update(dict.fromkeys(range(start, x), level))
+            level, start = level + edges[x], x
         if row:
             if rhs:
                 row[nvar] = rhs

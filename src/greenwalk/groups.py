@@ -32,6 +32,17 @@ _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 _INT = frozenset((int,))
 
 
+def _ints(values) -> bool:
+    """Every value is an int: no bool, float or numpy scalar."""
+    return _INT.issuperset(map(type, values))
+
+
+def _wreath_ints(data: tuple) -> bool:
+    """The position, lamp sites and lamp values of wreath data are ints."""
+    lamps, pos = data
+    return _ints([pos, *(x for lamp in lamps for x in lamp)])
+
+
 class GroupElement(NamedTuple):
     """One canonical group element; a tuple, so it hashes and compares in C.
 
@@ -117,9 +128,7 @@ class GroupModel:
                     f"{a.data!r} is not a reduced word of {self.spec()}"
                 )
         elif self.kind == "lattice":
-            if len(a.data) != self.params[0] or not all(
-                isinstance(x, int) for x in a.data
-            ):
+            if len(a.data) != self.params[0] or not _ints(a.data):
                 raise RepresentationError(
                     f"expected {self.params[0]} integer coordinates, got "
                     f"{a.data!r}"
@@ -128,10 +137,10 @@ class GroupModel:
             q = self.params[0]
             lamps, pos = a.data
             sites = [site for site, _ in lamps]
-            if not isinstance(pos, int) or sites != sorted(set(sites)):
+            if not _wreath_ints(a.data) or sites != sorted(set(sites)):
                 raise RepresentationError(f"malformed wreath data {a.data!r}")
             for site, val in lamps:
-                if not isinstance(site, int) or not 1 <= val <= q - 1:
+                if not 1 <= val <= q - 1:
                     raise RepresentationError(
                         f"lamp ({site!r}, {val!r}) out of range for "
                         f"{self.spec()}"
@@ -243,7 +252,7 @@ def _free_letters(k: int) -> frozenset:
 def is_reduced_word(k: int, word: tuple) -> bool:
     """The reduced-word rule of F_k: int letters (no bool or float) in
     +-1..+-k, none next to its inverse, with which it sums to 0."""
-    return (_INT.issuperset(map(type, word))
+    return (_ints(word)
             and _free_letters(k).issuperset(word)
             and 0 not in map(add, word, word[1:]))
 
@@ -560,7 +569,8 @@ class _Codes:
 
     def key(self, g: GroupElement):
         """The search key (`_keys`) of g's code, or None when g has another
-        kind or shape, is not reduced, or a digit of g leaves its radix."""
+        kind or shape, is not reduced, has a coordinate, lamp or position
+        that is not an int, or a digit of g leaves its radix."""
         G, r = self.G, self.radius
         if g.kind != G.kind or G.kind == "lattice" and len(g.data) != len(
                 self.radix):
@@ -569,11 +579,14 @@ class _Codes:
             if not is_reduced_word(G.params[0], g.data):
                 return None
             moves = [(i, 2 * abs(x) - (x > 0)) for i, x in enumerate(g.data, 1)]
-        elif G.kind == "lattice":
+        elif G.kind == "lattice" and _ints(g.data):
             moves = list(enumerate(g.data))
-        else:  # a lamp past [-radius, radius] has no column
+        elif G.kind == "wreath" and _wreath_ints(g.data):
+            # a lamp past [-radius, radius] has no column
             moves = [(0, g.data[1])] + [(s + r + 1 if abs(s) <= r else -1, v)
                                         for s, v in g.data[0]]
+        else:
+            return None
         words = self.identity[0].tolist()
         for col, delta in moves:
             if not 0 <= col < len(self.columns):

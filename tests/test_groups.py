@@ -167,6 +167,37 @@ def test_reduced_word_rule_agrees(k, word, text, reduced):
             parse_element(G, text)
 
 
+# (group, data with a bool, float or numpy coordinate, lamp site, lamp
+# value or position, the same data in ints)
+NON_INT_CASES = [
+    ("lattice:1", (True,), (1,)),
+    ("lattice:1", (1.0,), (1,)),
+    ("lattice:2", (0, np.int64(-1)), (0, -1)),
+    ("wreath:2", (((True, 1),), 0), (((1, 1),), 0)),
+    ("wreath:2", (((0, 1.0),), 0), (((0, 1),), 0)),
+    ("wreath:2", (((0, True),), 0), (((0, 1),), 0)),
+    ("wreath:2", (((True, 1.0),), False), (((1, 1),), 0)),
+    ("wreath:2", ((), 1.0), ((), 1)),
+    ("wreath:3", (((0, 2.0),), -1), (((0, 2),), -1)),
+]
+
+
+@pytest.mark.parametrize("spec, data, ints", NON_INT_CASES)
+def test_non_int_data_refused(spec, data, ints):
+    """check and mul refuse a coordinate, lamp or position that is not an
+    int, and a ball's lookup finds no position for it, though the element
+    with the same values as ints is in the ball."""
+    G = parse_group(spec)
+    g = GroupElement(G.kind, data)
+    with pytest.raises(RepresentationError):
+        G.check(g)
+    with pytest.raises(RepresentationError):
+        G.mul(g, G.identity())
+    ball = groups.shared_ball(G, 3)
+    assert ball.position(g) is None
+    assert ball.position(GroupElement(G.kind, ints)) is not None
+
+
 @pytest.mark.parametrize("k, depth", [(2, 4), (30, 2)])
 def test_generated_words_are_reduced(k, depth):
     """Cells and random words, in both letter orders, pass check."""

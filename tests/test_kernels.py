@@ -584,13 +584,39 @@ def test_entry_error_covers_drift_z_closed_form(t_drift):
         assert abs(t_drift.green_at(g) - exact) <= t_drift.entry_error(g), g
 
 
-def test_import_leaves_scipy_solvers_unloaded():
-    """The sparse LU solver is imported where it is used, so importing the
-    package loads no scipy solver module."""
+# {name: (code run after `import sys, greenwalk as gw`, expected output)}
+IMPORT_PROBES = {
+    # the package loads the table core: errors, groups, walks, kernels
+    "analysis-unloaded": (
+        "print(sorted(m for m in sys.modules if m in {'greenwalk.' + n for n "
+        "in ('boundary', 'measures', 'sampler', 'conformal', 'acceptance')}))",
+        "[]"),
+    # the sparse LU solver is imported where it is used
+    "scipy-solvers-unloaded": (
+        "print(sorted(m for m in sys.modules "
+        "if m.startswith(('scipy.linalg', 'scipy.sparse.linalg'))))",
+        "[]"),
+    # every public name is listed before it loads, then resolves
+    "public-names": (
+        "listed = set(dir(gw)); from greenwalk import *; "
+        "print([n for n in gw.__all__ if n not in listed "
+        "or n not in globals() or not hasattr(gw, n)])",
+        "[]"),
+    "submodule-attribute": (
+        "print(gw.conformal.classify is gw.classify, "
+        "gw.acceptance.run_all is gw.run_all)",
+        "True True"),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(IMPORT_PROBES))
+def test_import_boundary(probe):
+    """In a fresh interpreter: `import greenwalk` loads the table core and
+    no scipy solver; the analysis layer's names load on first access."""
+    code, expected = IMPORT_PROBES[probe]
     env = dict(os.environ,
                PYTHONPATH=str(Path(greenwalk.__file__).resolve().parents[1]))
-    code = ("import sys, greenwalk; print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.linalg', 'scipy.sparse.linalg'))))")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c",
+                          "import sys, greenwalk as gw; " + code],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == expected

@@ -17,9 +17,10 @@ times per job of GC_JOBS (verdicts and the three tables jobs), and
 records every generation-2 collection with its duration in ms and where
 it fell: in set-up, in a timed call (the part of the job that `wall_s`
 sums) or between timed calls, together with the gc counts at the end of
-set-up and the job's own `maxrss_mb` (`gc_probe`), so that the job behind
-a change of `peak_rss_mb` shows.  `src_lines` repeats each side's line
-count of src/greenwalk/*.py from its perfbench environment.
+set-up, the job's own `maxrss_mb` and the `greenwalk.*` modules the job
+loaded (`gc_probe`), so that the job behind a change of `peak_rss_mb`
+shows.  `src_lines` repeats each side's line count of src/greenwalk/*.py
+from its perfbench environment.
 
 Per end-to-end metric, `gain_met` says whether the change is better in
 at least 9 of 10 pairs and its median beats the parent's by more than the
@@ -92,7 +93,8 @@ print(json.dumps({{**{{where: {{"count": len(ms), "ms": ms}} for where, ms in (
     (w, [c["ms"] for c in collections if c["where"] == w])
     for w in ("setup", "timed", "untimed"))}},
     "setup_done_counts": state["counts"], "maxrss_mb": job["maxrss_mb"],
-    "failed": job["failed"]}}))
+    "failed": job["failed"], "greenwalk_modules": sorted(
+        m for m in sys.modules if m.startswith("greenwalk."))}}))
 """
 
 
