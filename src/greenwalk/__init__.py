@@ -102,20 +102,16 @@ def __dir__():
     return sorted(set(globals()) | _HOME.keys() | _SUBMODULES)
 
 
-__all__ = [
+# the core names imported above, and every name of the analysis layer
+__all__ = sorted([
     "Ball",
-    "BetaVerdict",
-    "BoundaryApproximant",
-    "CellFunction",
     "ConfigError",
     "ConvergenceError",
     "GreenwalkError",
     "GroupElement",
     "GroupModel",
     "KernelTable",
-    "MeasureModel",
     "PartitionError",
-    "PhiCurve",
     "PrecisionError",
     "RangeError",
     "RepresentationError",
@@ -124,46 +120,22 @@ __all__ = [
     "TransienceError",
     "UnsupportedGroupError",
     "WalkSpec",
-    "all_cells",
     "ball_enumerate",
-    "best_spine_candidate",
     "build_kernel_table",
-    "cell_name",
-    "classify",
-    "cocycle_residual",
-    "conformality_residual",
     "drift_z",
-    "extend_kernel",
-    "free_tree_kernel_oracle",
     "generation_certificate",
-    "harmonic_measure_estimate",
-    "harmonicity_residual",
     "harnack_scan",
-    "invariant_measure_feasibility",
-    "kms_residual",
     "make_walk",
-    "multiplicity_report",
     "n_step_distribution",
     "named_walk",
-    "parse_approximant",
-    "parse_cell",
     "parse_element",
     "parse_group",
-    "phi_curve",
-    "phi_map_pushforward_check",
     "product_walk",
     "resolve_walk",
-    "rn_identity_check",
-    "run_all",
     "serialize_element",
-    "spine_scan",
     "srw_free",
-    "stationarity_residual",
-    "summary_lines",
-    "translate_cell",
-    "tree_exit_measure",
-    "uniform_depth1_measure",
     "wreath_walk",
-]
+    *_HOME,
+])
 
 __version__ = "0.1.0"

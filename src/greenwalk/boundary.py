@@ -1,9 +1,9 @@
 """Boundary points as kernel-limit approximants.
 
-A boundary point is carried numerically in one of three shapes: a tree
-end (reduced prefix of the infinite word, free groups only), a sequence
-of group elements leaving every finite ball, or a spine candidate (a
-labelled generator sequence produced by scanning).  Extended kernels
+A boundary point is carried numerically in one of two shapes: a tree
+end (reduced prefix of the infinite word, free groups only) or a sequence
+of group elements leaving every finite ball, labelled when it is a spine
+candidate (a template that spine scans name).  Extended kernels
 K(g, xi) come either from the exact first-visit geometry of the tree or
 as Cauchy limits of finite Martin kernels along the sequence.
 """
@@ -11,7 +11,7 @@ as Cauchy limits of finite Martin kernels along the sequence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConvergenceError, RangeError, UnsupportedGroupError
@@ -29,11 +29,10 @@ SPINE_TEMPLATE_DEPTH = 3
 class BoundaryApproximant:
     """One boundary point, known to finite depth.
 
-    kind is "tree_end", "sequence" or "spine_candidate".  For tree ends
-    `prefix` is the reduced word of signed generator indices and `depth`
-    its length; for the other kinds `elements` is the witness sequence
-    x_n with x_n -> infinity.  `cache` maps (table, element) to
-    (value, error) pairs so repeated scans do not recompute limits.
+    kind is "tree_end" or "sequence".  For tree ends `prefix` is the
+    reduced word of signed generator indices and `depth` its length; for
+    sequences `elements` is the witness sequence x_n with x_n -> infinity,
+    and a spine candidate's `label` names its template.
     """
 
     kind: str
@@ -42,7 +41,6 @@ class BoundaryApproximant:
     elements: tuple = ()
     label: str = ""
     tolerance: float = 1e-6
-    cache: dict = field(default_factory=dict)
 
     @staticmethod
     def tree_end(group: GroupModel, prefix, tolerance: float = 1e-6):
@@ -69,7 +67,7 @@ class BoundaryApproximant:
     @staticmethod
     def spine_candidate(group: GroupModel, label: str, generators,
                         tolerance: float = 1e-6):
-        """Candidate built by repeating a generator template.
+        """A sequence labelled `label`, built from a generator template.
 
         `generators` is the step template; element n of the witness
         sequence is the product of the first n template repetitions.
@@ -82,9 +80,8 @@ class BoundaryApproximant:
         for g in gens:
             cur = group.mul(cur, g)
             elems.append(cur)
-        return BoundaryApproximant("spine_candidate", group,
-                                   elements=tuple(elems), label=label,
-                                   tolerance=tolerance)
+        return BoundaryApproximant("sequence", group, elements=tuple(elems),
+                                   label=label, tolerance=tolerance)
 
     @property
     def depth(self) -> int:
@@ -96,7 +93,7 @@ class BoundaryApproximant:
         if self.kind == "tree_end":
             word = GroupElement("free", self.prefix)
             return "end:" + serialize_element(self.group, word)
-        if self.kind == "spine_candidate":
+        if self.label:
             return "spine-scan:" + self.label
         parts = ";".join(serialize_element(self.group, x) for x in self.elements)
         return "seq:" + parts
@@ -196,10 +193,6 @@ def extend_kernel(t: KernelTable, g: GroupElement, xi: BoundaryApproximant,
         if read is None:
             raise RangeError(f"element outside table radius {t.radius}")
         return read
-    key = (t, g)
-    hit = xi.cache.get(key)
-    if hit is not None:
-        return hit
     ginv = t.walk.group.inv(g)
     values = []
     for x in xi.elements:
@@ -211,9 +204,7 @@ def extend_kernel(t: KernelTable, g: GroupElement, xi: BoundaryApproximant,
         if len(values) >= SEQUENCE_AGREEMENTS:
             tail = values[-SEQUENCE_AGREEMENTS:]
             if max(tail) - min(tail) < xi.tolerance:
-                out = (value, max(abs(value - values[-2]), err))
-                xi.cache[key] = out
-                return out
+                return value, max(abs(value - values[-2]), err)
     if not strict and values:
         tail = values[-min(len(values), SEQUENCE_AGREEMENTS):]
         spread = max(tail) - min(tail) if len(tail) > 1 else xi.tolerance
@@ -231,14 +222,15 @@ def act_on_boundary(G: GroupModel, g: GroupElement,
     """phi_g(xi) = g xi, preserving the approximant kind.
 
     Tree ends left-concatenate and reduce (the known depth shrinks if g
-    cancels into the prefix); sequences multiply pointwise.
+    cancels into the prefix); sequences multiply pointwise and drop their
+    label, which names the unmoved template.
     """
     if xi.kind == "tree_end":
         word = G.mul(g, GroupElement("free", xi.prefix))
         return BoundaryApproximant("tree_end", G, prefix=word.data,
                                    tolerance=xi.tolerance)
     moved = tuple(G.mul(g, x) for x in xi.elements)
-    return BoundaryApproximant(xi.kind, G, elements=moved, label=xi.label,
+    return BoundaryApproximant(xi.kind, G, elements=moved,
                                tolerance=xi.tolerance)
 
 
@@ -381,8 +373,7 @@ def spine_candidates(G: GroupModel, n_terms: int = 8) -> list:
                 for j in range(1, min(n_terms, 4) + 1)
             )
             out.append(BoundaryApproximant(
-                "spine_candidate", G, elements=elems, label=label,
-                tolerance=tol))
+                "sequence", G, elements=elems, label=label, tolerance=tol))
         return out
     return []
 

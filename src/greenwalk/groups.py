@@ -37,12 +37,6 @@ def _ints(values) -> bool:
     return _INT.issuperset(map(type, values))
 
 
-def _wreath_ints(data: tuple) -> bool:
-    """The position, lamp sites and lamp values of wreath data are ints."""
-    lamps, pos = data
-    return _ints([pos, *(x for lamp in lamps for x in lamp)])
-
-
 class GroupElement(NamedTuple):
     """One canonical group element; a tuple, so it hashes and compares in C.
 
@@ -116,38 +110,31 @@ class GroupModel:
             (self.factors[0].identity(), self.factors[1].identity()),
         )
 
-    def check(self, a: GroupElement) -> None:
-        """Reject elements that are not in canonical form for this group."""
+    def is_canonical(self, a: GroupElement) -> bool:
+        """Whether a is in this group's canonical form: the layout of
+        `GroupElement` for its kind, in exact ints (no bool, float or numpy
+        scalar).  The one rule behind `check`, the ball and sphere lookups
+        and `parse_element`."""
         if a.kind != self.kind:
-            raise RepresentationError(
-                f"element kind {a.kind!r} does not match group {self.spec()!r}"
-            )
+            return False
         if self.kind == "free":
-            if not is_reduced_word(self.params[0], a.data):
-                raise RepresentationError(
-                    f"{a.data!r} is not a reduced word of {self.spec()}"
-                )
-        elif self.kind == "lattice":
-            if len(a.data) != self.params[0] or not _ints(a.data):
-                raise RepresentationError(
-                    f"expected {self.params[0]} integer coordinates, got "
-                    f"{a.data!r}"
-                )
-        elif self.kind == "wreath":
-            q = self.params[0]
+            return is_reduced_word(self.params[0], a.data)
+        if self.kind == "lattice":
+            return len(a.data) == self.params[0] and _ints(a.data)
+        if self.kind == "wreath":
             lamps, pos = a.data
             sites = [site for site, _ in lamps]
-            if not _wreath_ints(a.data) or sites != sorted(set(sites)):
-                raise RepresentationError(f"malformed wreath data {a.data!r}")
-            for site, val in lamps:
-                if not 1 <= val <= q - 1:
-                    raise RepresentationError(
-                        f"lamp ({site!r}, {val!r}) out of range for "
-                        f"{self.spec()}"
-                    )
-        else:
-            self.factors[0].check(a.data[0])
-            self.factors[1].check(a.data[1])
+            vals = [val for _, val in lamps]
+            return (_ints([pos, *sites, *vals]) and sites == sorted(set(sites))
+                    and all(0 < val < self.params[0] for val in vals))
+        return len(a.data) == 2 and all(map(GroupModel.is_canonical,
+                                            self.factors, a.data))
+
+    def check(self, a: GroupElement) -> None:
+        """Reject elements that are not in canonical form for this group."""
+        if not self.is_canonical(a):
+            raise RepresentationError(
+                f"{a!r} is not in canonical form for {self.spec()}")
 
     # -- group operations ----------------------------------------------------
 
@@ -304,52 +291,42 @@ def parse_element(G: GroupModel, text: str) -> GroupElement:
         raise ConfigError(f"element must be a string, got {text!r}", "elem")
     text = text.strip()
     try:
-        return _parse_element(G, text)
+        g = _parse_element(G, text)
+        if not G.is_canonical(g):
+            raise ValueError(f"{g!r} is not in canonical form")
     except (ValueError, IndexError) as exc:
         raise ConfigError(
             f"cannot parse element {text!r} for group {G.spec()!r}: {exc}",
             "elem",
         ) from None
+    return g
 
 
 def _parse_element(G: GroupModel, text: str) -> GroupElement:
+    """The element that `text` spells, canonical or not."""
     if G.kind == "free":
-        k = G.params[0]
         if text in ("", _serialize(G, G.identity())):
             return G.identity()
-        if "." in text or text.lstrip("+-").isdigit() and k > 26:
+        if "." in text or text.lstrip("+-").isdigit() and G.params[0] > 26:
             word = tuple(int(p) for p in text.split("."))
         else:  # a character that is not a letter reads as 0
             word = tuple((-1 if ch.isupper() else 1)
                          * (_LETTERS.find(ch.lower()) + 1) for ch in text)
-        if not is_reduced_word(k, word):
-            raise ValueError(f"{word!r} is not a reduced word of F_{k}")
         return GroupElement("free", word)
     if G.kind == "lattice":
-        d = G.params[0]
         inner = text.strip()
         if inner.startswith("(") and inner.endswith(")"):
             inner = inner[1:-1]
         parts = [p for p in inner.split(",") if p.strip() != ""]
-        if len(parts) != d:
-            raise ValueError(f"expected {d} coordinates, got {len(parts)}")
         return GroupElement("lattice", tuple(int(p) for p in parts))
     if G.kind == "wreath":
-        q = G.params[0]
         if "}@" not in text or not text.startswith("{"):
             raise ValueError("expected '{site:val,...}@pos'")
         body, pos_s = text[1:].split("}@", 1)
-        lamps = {}
-        if body:
-            for item in body.split(","):
-                site_s, val_s = item.split(":")
-                site, val = int(site_s), int(val_s) % q
-                if val == 0:
-                    raise ValueError(f"lamp value at {site} reduces to zero")
-                if site in lamps:
-                    raise ValueError(f"duplicate lamp site {site}")
-                lamps[site] = val
-        return GroupElement("wreath", (tuple(sorted(lamps.items())), int(pos_s)))
+        items = [item.split(":") for item in body.split(",")] if body else []
+        lamps = sorted((int(site), int(val) % G.params[0])
+                       for site, val in items)
+        return GroupElement("wreath", (tuple(lamps), int(pos_s)))
     if not (text.startswith("[") and text.endswith("]")):
         raise ValueError("expected '[left;right]'")
     parts = _split_top(text[1:-1], ";")
@@ -405,7 +382,8 @@ class Ball:
     serialized forms, kept as integer codes rather than objects.
 
     `position(g)` finds g by its code among the ball's sorted codes (None
-    outside the ball); `elements` is decoded from the codes on first use.
+    outside the ball or for a g that `GroupModel.is_canonical` refuses);
+    `elements` is decoded from the codes on first use.
     `depth[i]` is the word length of elements[i], and `neighbours`, of
     shape (len(ball), len(group.generators())) and dtype int32, is the
     Cayley graph: entry [i, j] is the position of elements[i] *
@@ -436,6 +414,10 @@ class Ball:
                                        self._codes.decode(self._rows))))
 
     def position(self, g: GroupElement) -> int | None:
+        return self._find(g) if self.group.is_canonical(g) else None
+
+    def _find(self, g: GroupElement) -> int | None:
+        """`position` of a canonical g."""
         key = self._codes.key(g)
         if key is None:
             return None
@@ -568,25 +550,16 @@ class _Codes:
         return out
 
     def key(self, g: GroupElement):
-        """The search key (`_keys`) of g's code, or None when g has another
-        kind or shape, is not reduced, has a coordinate, lamp or position
-        that is not an int, or a digit of g leaves its radix."""
+        """The search key (`_keys`) of the code of a canonical g, or None
+        when a digit of g leaves its radix."""
         G, r = self.G, self.radius
-        if g.kind != G.kind or G.kind == "lattice" and len(g.data) != len(
-                self.radix):
-            return None
         if G.kind == "free":  # generator j is digit j + 1
-            if not is_reduced_word(G.params[0], g.data):
-                return None
             moves = [(i, 2 * abs(x) - (x > 0)) for i, x in enumerate(g.data, 1)]
-        elif G.kind == "lattice" and _ints(g.data):
+        elif G.kind == "lattice":
             moves = list(enumerate(g.data))
-        elif G.kind == "wreath" and _wreath_ints(g.data):
-            # a lamp past [-radius, radius] has no column
+        else:  # a lamp past [-radius, radius] has no column
             moves = [(0, g.data[1])] + [(s + r + 1 if abs(s) <= r else -1, v)
                                         for s, v in g.data[0]]
-        else:
-            return None
         words = self.identity[0].tolist()
         for col, delta in moves:
             if not 0 <= col < len(self.columns):
@@ -684,9 +657,7 @@ class _PairCodes:
         self.L, self.R = L, R
 
     def key(self, g: GroupElement):
-        if g.kind != "product":
-            return None
-        i, j = self.L.position(g.data[0]), self.R.position(g.data[1])
+        i, j = self.L._find(g.data[0]), self.R._find(g.data[1])
         return None if i is None or j is None else i * len(self.R) + j
 
     def units(self, rows: np.ndarray, end: str) -> list:

@@ -45,7 +45,7 @@ from .errors import (
     RangeError,
     TransienceError,
 )
-from .groups import Ball, GroupElement, is_reduced_word, shared_ball
+from .groups import Ball, GroupElement, GroupModel, shared_ball
 from .walks import WalkSpec
 
 RHO_SAFETY = 1.05
@@ -201,15 +201,13 @@ class Spheres:
         inward = np.append(1, self.depth[:-1])
         outward = np.append(self.depth[1:], -1)
         self.neighbours = np.column_stack([inward] + [outward] * (2 * k - 1))
-        self._k = k
+        self._group = GroupModel.free(k)
 
     def position(self, g: GroupElement) -> int | None:
-        """|g| for a reduced word of F_k of length <= radius, else None."""
-        w = g.data
-        if (g.kind != "free" or len(w) >= len(self.depth)
-                or not is_reduced_word(self._k, w)):
+        """|g| for a canonical element of F_k of length <= radius, else None."""
+        if len(g.data) >= len(self.depth) or not self._group.is_canonical(g):
             return None
-        return len(w)
+        return len(g.data)
 
 
 # -- kernel tables ------------------------------------------------------------

@@ -106,8 +106,9 @@ def test_nonconverging_sequence_raises(t_f2):
 
 
 def test_kernel_limit_cache_is_per_table(t_drift):
-    # a table built where a freed one lived must not read the freed
-    # table's cached limits: K(1, -inf) is q/p, 3/7 at p = 0.7, 2/3 at 0.6
+    # one approximant read against two tables, each built where a freed
+    # one lived, gives each table's limit: K(1, -inf) is q/p, 3/7 at
+    # p = 0.7, 2/3 at 0.6
     G = t_drift.walk.group
     xi = BoundaryApproximant.sequence(
         G, [GroupElement("lattice", (-n,)) for n in range(1, 11)])
@@ -235,7 +236,11 @@ def test_parse_approximant_round_trip():
     assert seq.serialize() == "seq:a;aa;aab"
     Z = GroupModel.lattice(1)
     spun = parse_approximant(Z, "spine-scan:+inf")
-    assert spun.label == "+inf"
+    assert spun.kind == "sequence" and spun.label == "+inf"
+    assert spun.serialize() == "spine-scan:+inf"
+    # a moved candidate is no longer the template its label names
+    moved = act_on_boundary(Z, GroupElement("lattice", (5,)), spun)
+    assert parse_approximant(Z, moved.serialize()).elements == moved.elements
     with pytest.raises(ValueError):
         parse_approximant(Z, "spine-scan:sideways")
     with pytest.raises(ValueError):

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greenwalk import groups
-from greenwalk.errors import ConfigError, RepresentationError, ResourceLimitError
+from greenwalk.errors import (ConfigError, RangeError, RepresentationError,
+                             ResourceLimitError)
 from greenwalk.groups import (
     GroupElement,
     GroupModel,
@@ -196,6 +197,68 @@ def test_non_int_data_refused(spec, data, ints):
     ball = groups.shared_ball(G, 3)
     assert ball.position(g) is None
     assert ball.position(GroupElement(G.kind, ints)) is not None
+
+
+_W2, _F2 = GroupElement("wreath", ((), 0)), GroupElement("free", ())
+# (group, data, a text form of it for the parser or None, is it canonical)
+CANONICAL_CASES = [
+    ("free:2", (1, -2), "aB", True),
+    ("free:2", (1, -1), "aA", False),
+    ("lattice:2", (1, -2), "(1,-2)", True),
+    ("lattice:2", (1, -2, 0), "(1,-2,0)", False),
+    ("lattice:2", (1,), "(1)", False),
+    ("wreath:2", (((0, 1), (1, 1)), -1), "{1:1,0:1}@-1", True),
+    ("wreath:3", (((-1, 2),), 1), "{-1:-1}@1", True),
+    # a zero lamp, sites out of order and a repeated site: each codes to
+    # in-range digits, those of e, of the sorted lamps and of the repeated
+    # lamps summed ({1:1}@0 on wreath:2 by a carry, {0:2}@0 on wreath:3)
+    ("wreath:2", (((0, 0),), 0), "{0:2}@0", False),
+    ("wreath:2", (((1, 1), (0, 1)), 0), None, False),
+    ("wreath:2", (((0, 1), (0, 1)), 0), "{0:1,0:1}@0", False),
+    ("wreath:3", (((0, 1), (0, 1)), 0), "{0:1,0:-2}@0", False),
+    ("wreath:2", (((0, 2),), 0), None, False),  # a lamp value equal to q
+    ("product(wreath:2,free:2)",
+     (GroupElement("wreath", (((0, 1),), 1)), GroupElement("free", (2,))),
+     "[{0:1}@1;b]", True),
+    ("product(wreath:2,free:2)",
+     (GroupElement("wreath", (((0, 1), (0, 1)), 0)), _F2), "[{0:1,0:1}@0;e]",
+     False),
+    ("product(wreath:2,free:2)", (_W2, GroupElement("free", (2, -2))),
+     "[{}@0;bB]", False),
+    ("product(wreath:2,free:2)", (_W2,), None, False),
+]
+
+
+@pytest.mark.parametrize("spec, data, text, canonical", CANONICAL_CASES)
+def test_canonical_form_rule_agrees(spec, data, text, canonical):
+    """check, the lookups of a ball and of the free spheres, and the parser
+    apply one rule, `GroupModel.is_canonical`."""
+    G = parse_group(spec)
+    g = GroupElement(G.kind, data)
+    radius = 2 if G.kind == "product" else 4
+    assert G.is_canonical(g) == canonical
+    i = groups.shared_ball(G, radius).position(g)
+    assert (i is not None) == (canonical and word_length(G, g) <= radius)
+    assert i is None or groups.shared_ball(G, radius).elements[i] == g
+    if G.kind == "free":
+        assert Spheres(2, radius).position(g) == (len(data) if canonical
+                                                  else None)
+    if canonical:
+        G.check(g)
+        assert parse_element(G, text) == g
+        return
+    with pytest.raises(RepresentationError, match=re.escape(G.spec())):
+        G.check(g)
+    if text is not None:
+        with pytest.raises(ConfigError, match="canonical form"):
+            parse_element(G, text)
+
+
+def test_green_at_refuses_a_repeated_lamp_site(t_wreath):
+    """A repeated lamp site is not canonical, so the table has no entry for
+    it, though its lamps' digits sum to the code of {1:1}@0."""
+    with pytest.raises(RangeError):
+        t_wreath.green_at(GroupElement("wreath", (((0, 1), (0, 1)), 0)))
 
 
 @pytest.mark.parametrize("k, depth", [(2, 4), (30, 2)])

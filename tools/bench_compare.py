@@ -19,8 +19,12 @@ it fell: in set-up, in a timed call (the part of the job that `wall_s`
 sums) or between timed calls, together with the gc counts at the end of
 set-up, the job's own `maxrss_mb` and the `greenwalk.*` modules the job
 loaded (`gc_probe`), so that the job behind a change of `peak_rss_mb`
-shows.  `src_lines` repeats each side's line count of src/greenwalk/*.py
-from its perfbench environment.
+shows.  Each paired run also records `cpu_s`, the user plus system CPU
+seconds of the perfbench processes it started (the RUSAGE_CHILDREN delta
+around them), and each workload's `cpu_s` gives the median per side: a
+slower host shows as wall time up with CPU time flat.  `src_lines`
+repeats each side's line count of src/greenwalk/*.py from its perfbench
+environment.
 
 Per end-to-end metric, `gain_met` says whether the change is better in
 at least 9 of 10 pairs and its median beats the parent's by more than the
@@ -34,6 +38,7 @@ import argparse
 import json
 import math
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -98,14 +103,22 @@ print(json.dumps({{**{{where: {{"count": len(ms), "ms": ms}} for where, ms in (
 """
 
 
+def child_cpu_s() -> float:
+    """User plus system CPU seconds of the waited-for child processes."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def perfbench(root: str, *args: str) -> dict:
-    """The environment, detail and result lines of one perfbench run."""
+    """The environment, detail and result lines of one perfbench run, and
+    its processes' CPU seconds as `cpu_s`."""
+    start = child_cpu_s()
     proc = subprocess.run([sys.executable, "perfbench/run.py", *args],
                           cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"perfbench in {root} exited {proc.returncode}:\n"
                          + proc.stderr[-2000:])
-    out = {}
+    out = {"cpu_s": child_cpu_s() - start}
     for line in proc.stdout.splitlines():
         out.update(json.loads(line))
     return out
@@ -160,18 +173,20 @@ def main(argv=None) -> int:
             runs = {side: perfbench(roots[side], "--workload", workload,
                                     "--seed", seed) for side in order}
             pairs.append({"order": list(order), **{
-                side: {"metrics": r["metrics"], "failed": r["failed"],
-                       "attempted": r["attempted"],
+                side: {"metrics": r["metrics"], "cpu_s": r["cpu_s"],
+                       "failed": r["failed"], "attempted": r["attempted"],
                        "setup_s": r["detail"]["setup_s"]}
                 for side, r in runs.items()}})
             for side, r in runs.items():
                 result["environment"][side] = r["environment"]
             print(f"{workload} pair {i + 1}: " + ", ".join(
                 f"{side} wall {r['metrics']['wall_s']['value']:.3f} setup "
-                f"{r['metrics']['setup_s']['value']:.3f}"
+                f"{r['metrics']['setup_s']['value']:.3f} cpu {r['cpu_s']:.2f}"
                 for side, r in runs.items()), file=sys.stderr)
-        result["end_to_end"][workload] = {"pairs": pairs,
-                                          "summary": summarize(pairs, better)}
+        result["end_to_end"][workload] = {
+            "pairs": pairs, "summary": summarize(pairs, better),
+            "cpu_s": {side: statistics.median(p[side]["cpu_s"] for p in pairs)
+                      for side in roots}}
     result["src_lines"] = {side: env["src_lines"]
                            for side, env in result["environment"].items()}
     env = dict(os.environ, **THREAD_ENV)
