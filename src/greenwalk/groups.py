@@ -37,6 +37,12 @@ def _ints(values) -> bool:
     return _INT.issuperset(map(type, values))
 
 
+def _pairs(lamps) -> bool:
+    """lamps is a tuple of 2-tuples."""
+    return type(lamps) is tuple and all(
+        type(lamp) is tuple and len(lamp) == 2 for lamp in lamps)
+
+
 class GroupElement(NamedTuple):
     """One canonical group element; a tuple, so it hashes and compares in C.
 
@@ -112,16 +118,20 @@ class GroupModel:
 
     def is_canonical(self, a: GroupElement) -> bool:
         """Whether a is in this group's canonical form: the layout of
-        `GroupElement` for its kind, in exact ints (no bool, float or numpy
-        scalar).  The one rule behind `check`, the ball and sphere lookups
-        and `parse_element`."""
-        if a.kind != self.kind:
+        `GroupElement` for its kind, in tuples and exact ints (no bool,
+        float or numpy scalar).  The one rule behind `check`, the ball and
+        sphere lookups and `parse_element`; mis-shaped data is refused, not
+        an error."""
+        if (not isinstance(a, GroupElement) or a.kind != self.kind
+                or type(a.data) is not tuple):
             return False
         if self.kind == "free":
             return is_reduced_word(self.params[0], a.data)
         if self.kind == "lattice":
             return len(a.data) == self.params[0] and _ints(a.data)
         if self.kind == "wreath":
+            if len(a.data) != 2 or not _pairs(a.data[0]):
+                return False
             lamps, pos = a.data
             sites = [site for site, _ in lamps]
             vals = [val for _, val in lamps]

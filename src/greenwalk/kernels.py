@@ -205,7 +205,7 @@ class Spheres:
 
     def position(self, g: GroupElement) -> int | None:
         """|g| for a canonical element of F_k of length <= radius, else None."""
-        if len(g.data) >= len(self.depth) or not self._group.is_canonical(g):
+        if not self._group.is_canonical(g) or len(g.data) >= len(self.depth):
             return None
         return len(g.data)
 

@@ -8,6 +8,14 @@ identical for any worker count and bit-identical for a fixed seed.  With
 workers > 1 the blocks run on forked worker processes, at most one per
 block; one worker runs them in the calling process.
 
+A block's steps are the ones `Generator.choice(len(probs), size=(paths,
+horizon), p=probs)` draws from its Philox stream, read from the raw uint64
+stream with exact integer limits: `random()` is (x >> 11) * 2**-53, so a
+draw passes a CDF value c exactly when x >= ceil(c * 2**53) << 11.  The
+raw draws are converted DRAW_CHUNK paths at a time and written transposed
+into time-major (horizon, paths) step arrays, so no block-sized array of
+floats or raw draws exists.
+
 Convergence bookkeeping follows the walk instead of storing full
 histories: a free walker's depth-D prefix can only change while its
 reduced word is shorter than D+1 letters, so tracking the last step at
@@ -51,31 +59,46 @@ MAX_NONCONVERGED = 0.01
 
 RETIRE_EVERY = 8
 COUNTED_DRAWS = 32  # longest step table drawn by counting, not search
+DRAW_CHUNK = 512    # paths converted from raw draws at a time
 
 
-def _draws(rng: np.random.Generator, probs: np.ndarray, shape) -> np.ndarray:
-    """The step indices `rng.choice(len(probs), size=shape, p=probs)` draws.
+def _time_major_steps(rng: np.random.Generator, probs: np.ndarray, tables,
+                      n_paths: int, horizon: int) -> list:
+    """[table[d].T for table in tables], each a contiguous (horizon,
+    n_paths) array, for the step indices d that `rng.choice(len(probs),
+    size=(n_paths, horizon), p=probs)` draws.
 
-    `choice` inverts the normalised CDF at one uniform u per draw:
-    `cdf.searchsorted(u, side="right")`, the number of CDF values <= u.
-    For a short table that count is taken directly, one comparison pass
-    per CDF value (u < 1 = cdf[-1], so the last never counts), which gives
-    the same indices as int8 in a fraction of the search's time.
+    `choice` takes d as the number of normalised CDF values <= u, one
+    uniform u per draw; here d is the number of integer limits <= the raw
+    x behind u (see the module docstring), and a CDF value of 1.0, which u
+    never reaches, has none.  For a short table each value is summed from
+    one comparison pass per limit: table[0] plus table[i + 1] - table[i]
+    for every limit passed, in the table's dtype, which wraps back to
+    table[d].  The raw draws are read DRAW_CHUNK paths at a time, in the
+    row-major order of `choice`.
     """
     cdf = probs.cumsum()
     cdf /= cdf[-1]
-    u = rng.random(shape)
-    if len(cdf) > COUNTED_DRAWS:
-        return cdf.searchsorted(u, side="right")
-    idx = np.zeros(shape, dtype=np.int8)
-    for c in cdf[:-1]:
-        idx += (u >= c).view(np.int8)
-    return idx
-
-
-def _time_major(table: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """table[draws] as a contiguous (horizon, paths) array."""
-    return np.ascontiguousarray(table[draws].T)
+    limits = np.ceil(cdf * 2.0**53)
+    limits = limits[limits < 2.0**53].astype(np.uint64) << np.uint64(11)
+    rises = [np.diff(t) for t in tables]
+    outs = [np.empty((horizon, n_paths), dtype=t.dtype) for t in tables]
+    for lo in range(0, n_paths, DRAW_CHUNK):
+        hi = min(n_paths, lo + DRAW_CHUNK)
+        x = rng.bit_generator.random_raw((hi - lo) * horizon).reshape(
+            hi - lo, horizon)
+        if len(probs) > COUNTED_DRAWS:
+            d = limits.searchsorted(x, side="right")
+            vals = [t[d] for t in tables]
+        else:
+            vals = [np.full(x.shape, t[0], dtype=t.dtype) for t in tables]
+            for i, c in enumerate(limits):
+                hit = x >= c
+                for v, rise in zip(vals, rises):
+                    v += hit * rise[i]
+        for out, v in zip(outs, vals):
+            out[:, lo:hi] = v.T
+    return outs
 
 
 def _row_counts(rows: np.ndarray, cell) -> Counter:
@@ -117,8 +140,8 @@ def _free_paths(letters, probs, depth: int, n_samples: int, horizon: int,
     """
     lo, hi = block_bounds(block, n_samples)
     nb = hi - lo
-    steps = _time_major(letters,
-                        _draws(block_rng(seed, block), probs, (nb, horizon)))
+    steps, = _time_major_steps(block_rng(seed, block), probs, [letters], nb,
+                               horizon)
     # Words live in one flat int8 buffer, row r at [r * width, (r+1) * width).
     # Column 0 holds 0, the inverse of no letter, so the empty word never
     # cancels; `top` is the flat index of each word's last letter.
@@ -133,7 +156,7 @@ def _free_paths(letters, probs, depth: int, n_samples: int, horizon: int,
     floor = top + depth          # top <= floor: length <= depth
     high = top.copy()            # running maximum of top
     last = np.zeros(nb, dtype=np.intp)
-    delta = np.array([1, -1], dtype=np.intp)
+    above = words[1:]            # above[top]: the slot above each top
 
     def settle(sel, t):
         rows = act[sel]
@@ -143,12 +166,13 @@ def _free_paths(letters, probs, depth: int, n_samples: int, horizon: int,
         stop[rows] = t
 
     for t in range(horizon):
-        s = steps[t] if len(act) == nb else steps[t, act]
+        s = steps[t] if len(act) == nb else steps[t].take(act)
         back = words[top] + s == 0
         # a push writes s above the top; a cancel leaves it above the new
         # top, where the next push overwrites it before anything reads it
-        words[top + 1] = s
-        top += delta[back.view(np.uint8)]
+        above[top] = s
+        top += 1
+        top -= back.view(np.int8) << 1
         np.maximum(high, top, out=high)
         last[top <= floor] = t
         if t % RETIRE_EVERY == RETIRE_EVERY - 1:
@@ -205,8 +229,8 @@ def _wreath_paths(shift, inc, probs, q: int, n_samples: int, horizon: int,
     """
     lo, hi = block_bounds(block, n_samples)
     nb = hi - lo
-    draws = _draws(block_rng(seed, block), probs, (nb, horizon))
-    shifts, incs = _time_major(shift, draws), _time_major(inc, draws)
+    shifts, incs = _time_major_steps(block_rng(seed, block), probs,
+                                     [shift, inc], nb, horizon)
     W = WREATH_WINDOW_STORE
     # Row r's lamps are lamps[r * width: r * width + 2W + 1], window column
     # c = pos + W; column 2W + 1 takes the increments made outside the
@@ -231,8 +255,8 @@ def _wreath_paths(shift, inc, probs, q: int, n_samples: int, horizon: int,
 
     for t in range(horizon):
         full = len(act) == nb
-        d = shifts[t] if full else shifts[t, act]
-        a = incs[t] if full else incs[t, act]
+        d = shifts[t] if full else shifts[t].take(act)
+        a = incs[t] if full else incs[t].take(act)
         # a negative column reads as a huge unsigned one
         cell = base + np.minimum(col.view(np.uint64), out).view(np.intp)
         lamps[cell] += a
@@ -269,11 +293,15 @@ def _lattice_block(steps, probs, n_samples: int, horizon: int, seed: int,
                    block: int):
     lo, hi = block_bounds(block, n_samples)
     nb = hi - lo
-    incs = steps[_draws(block_rng(seed, block), probs, (nb, horizon))]
-    pos = np.cumsum(incs, axis=1)
-    final = pos[:, -1]
-    tail = pos[:, -STABLE_STEPS:]
-    sign_stable = (np.all(tail > 0, axis=1) | np.all(tail < 0, axis=1))
+    pos, = _time_major_steps(block_rng(seed, block), probs, [steps], nb,
+                             horizon)
+    # positions summed in place a step at a time, several times faster than
+    # np.cumsum down the time axis
+    for t in range(1, horizon):
+        pos[t] += pos[t - 1]
+    final = pos[-1]
+    tail = pos[-STABLE_STEPS:]
+    sign_stable = (np.all(tail > 0, axis=0) | np.all(tail < 0, axis=0))
     ok = (np.abs(final) >= ESCAPE_SLACK) & sign_stable
     counts = Counter()
     pos_count = int(np.sum(ok & (final > 0)))

@@ -254,6 +254,42 @@ def test_canonical_form_rule_agrees(spec, data, text, canonical):
             parse_element(G, text)
 
 
+# (group, data): data that is not the layout of its kind's `GroupElement`
+MIS_SHAPED_CASES = [
+    ("free:2", 5),
+    ("free:2", [1, 2]),
+    ("lattice:2", 5),
+    ("lattice:2", [1, 2]),
+    ("wreath:2", ((0, 1), 0)),
+    ("wreath:2", (((0, 1),), 0, 1)),
+    ("wreath:2", ((),)),
+    ("wreath:2", (((0, 1, 1),), 0)),
+    ("wreath:2", (((0,),), 0)),
+    ("wreath:2", ([(0, 1)], 0)),
+    ("wreath:2", 5),
+    ("product(wreath:2,free:2)", (5, _F2)),
+    ("product(wreath:2,free:2)", (_W2, ("free", (1,)))),
+    ("product(wreath:2,free:2)", (_W2, _F2, _F2)),
+    ("product(wreath:2,free:2)", 5),
+]
+
+
+@pytest.mark.parametrize("spec, data", MIS_SHAPED_CASES)
+def test_mis_shaped_data_refused(spec, data):
+    """Mis-shaped data is not canonical: check, mul and inv raise
+    RepresentationError, and the lookups find no position for it."""
+    G = parse_group(spec)
+    g = GroupElement(G.kind, data)
+    assert not G.is_canonical(g)
+    for op in (G.check, G.inv, lambda g: G.mul(g, G.identity()),
+               lambda g: G.mul(G.identity(), g)):
+        with pytest.raises(RepresentationError):
+            op(g)
+    assert groups.shared_ball(G, 2).position(g) is None
+    if G.kind == "free":
+        assert Spheres(2, 4).position(g) is None
+
+
 def test_green_at_refuses_a_repeated_lamp_site(t_wreath):
     """A repeated lamp site is not canonical, so the table has no entry for
     it, though its lamps' digits sum to the code of {1:1}@0."""

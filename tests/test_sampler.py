@@ -1,9 +1,12 @@
 import json
 import os
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greenwalk import sampler
 from greenwalk.cli import main
@@ -20,6 +23,7 @@ from greenwalk.sampler import (
 from greenwalk.walks import drift_z, make_walk, srw_free, wreath_walk
 
 F2 = GroupModel.free(2)
+Z = GroupModel.lattice(1)
 
 
 def test_worker_count_does_not_change_estimate():
@@ -40,15 +44,57 @@ def test_worker_count_does_not_change_estimate():
 # -- the block kernels against a path-by-path replay ---------------------------
 
 
-@pytest.mark.parametrize("probs", [
-    [0.25] * 4, [0.45, 0.15, 0.4], [0.7, 0.3], [1.0],
-    list(np.arange(1, 41) / 820),  # longer than COUNTED_DRAWS: searched
-])
-def test_draws_equal_generator_choice(probs):
-    probs = np.array(probs)
-    want = block_rng(3, 1).choice(len(probs), size=(64, 50), p=probs)
-    got = sampler._draws(block_rng(3, 1), probs, (64, 50))
-    assert np.array_equal(got, want)
+@st.composite
+def _step_tables(draw):
+    """(probabilities, [F_k letters as int8, the same times 200 as int16]):
+    1-40 entries, so both the counted and the searched draws run, some of
+    them zero at either end, so a CDF value reaches 1.0 early; k >= 64, so
+    letter differences overflow int8 (and the int16 table's int16)."""
+    n = draw(st.integers(1, 40))
+    weights = draw(st.lists(st.floats(1e-9, 1.0), min_size=n, max_size=n))
+    lead = draw(st.integers(0, n - 1))
+    trail = draw(st.integers(0, n - 1 - lead))
+    weights = [0.0] * lead + weights[lead:n - trail] + [0.0] * trail
+    k = draw(st.integers(64, 127))
+    letters = np.array(draw(st.lists(st.integers(-k, k).filter(bool),
+                                     min_size=n, max_size=n)), dtype=np.int8)
+    probs = np.array(weights) / sum(weights)
+    return probs, [letters, letters.astype(np.int16) * 200]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_step_tables(), st.integers(1, 3 * sampler.DRAW_CHUNK),
+       st.integers(1, 6), st.integers(0, 2**64 - 1), st.integers(0, 3))
+def test_time_major_steps_equal_generator_choice(drawn, n_paths, horizon,
+                                                 seed, block):
+    probs, tables = drawn
+    d = block_rng(seed, block).choice(len(probs), size=(n_paths, horizon),
+                                      p=probs)
+    got = sampler._time_major_steps(block_rng(seed, block), probs, tables,
+                                    n_paths, horizon)
+    for table, steps in zip(tables, got):
+        assert steps.dtype == table.dtype and steps.flags.c_contiguous
+        assert np.array_equal(steps, table[d].T)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_step_tables())
+def test_integer_limits_are_exact_next_to_each_cdf_value(drawn):
+    """Raw integers on either side of each CDF value c, where u = (x >> 11)
+    * 2**-53 steps across c, draw what `choice` draws from u."""
+    probs, tables = drawn
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    x = np.array([(j << 11) + r for c in cdf
+                  for j in range(int(c * 2**53) - 1, int(c * 2**53) + 2)
+                  if 0 <= j < 2**53 for r in (0, 2047)], dtype=np.uint64)
+    stream = iter(x)
+    rng = SimpleNamespace(bit_generator=SimpleNamespace(
+        random_raw=lambda n: np.fromiter(stream, np.uint64, n)))
+    d = cdf.searchsorted((x >> np.uint64(11)) * 2.0**-53, side="right")
+    got = sampler._time_major_steps(rng, probs, tables, len(x), 1)
+    for table, steps in zip(tables, got):
+        assert np.array_equal(steps[0], table[d])
 
 
 def _replay(w, n_paths, horizon, seed, stop):
@@ -131,6 +177,31 @@ def test_wreath_kernel_matches_path_replay(w, horizon, stable, monkeypatch):
             want[("+" if final > 0 else "-", window)] += 1
     counts, bad = sampler._wreath_block(*arrays, q, n, horizon, seed, 0)
     assert counts == want and bad == n - sum(want.values())
+
+
+def _plus_one_minus_two():
+    """Steps +1 and -2: a walk on Z that is not nearest-neighbour."""
+    return make_walk(Z, {GroupElement("lattice", (1,)): 0.65,
+                         GroupElement("lattice", (-2,)): 0.35})
+
+
+@pytest.mark.parametrize("w, horizon", [
+    (drift_z(0.55), 200),
+    (_plus_one_minus_two(), 120),
+], ids=["drift", "plus-one-minus-two"])
+def test_lattice_kernel_matches_path_replay(w, horizon):
+    n, seed = 400, 5
+    want = Counter({"+inf": 0, "-inf": 0})
+    for _, _, trail in _replay(w, n, horizon, seed, [0] * n):
+        tail = [x.data[0] for x in trail[-STABLE_STEPS:]]
+        final = tail[-1]
+        if abs(final) >= ESCAPE_SLACK and (min(tail) > 0 or max(tail) < 0):
+            want["+inf" if final > 0 else "-inf"] += 1
+    assert want["+inf"] and want["-inf"]
+    counts, bad = sampler._lattice_block(
+        np.array([s.data[0] for s, _ in w.steps]),
+        np.array([p for _, p in w.steps]), n, horizon, seed, 0)
+    assert counts == want and 0 < bad == n - sum(want.values())
 
 
 # -- the worker pool -------------------------------------------------------------

@@ -11,7 +11,11 @@ metric is the median over a side's rounds (the rounds themselves are
 kept under `per_layer_rounds`).  A probe draws the verdicts job's two
 sampled exit laws (F2, 100,000 paths, depths 4 and 5, 2 workers) and
 reports the peak RSS of the probe process and of its largest child
-(RUSAGE_CHILDREN), which perfbench's `peak_rss_mb` does not see.  A
+(RUSAGE_CHILDREN), which perfbench's `peak_rss_mb` does not see
+(`sampler_probe_rss_mb`), each exit law's wall seconds
+(`sampler_probe_wall_s`) and the user plus system CPU seconds of the
+probe's sampling workers (`sampler_probe_cpu_s`, RUSAGE_CHILDREN), a
+sampler number that a busy host moves less than wall time.  A
 second probe runs each checkout's perfbench/worker.py in-process, GC_RUNS
 times per job of GC_JOBS (verdicts and the three tables jobs), and
 records every generation-2 collection with its duration in ms and where
@@ -48,13 +52,19 @@ THREAD_ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
               "MKL_NUM_THREADS": "1", "NUMEXPR_NUM_THREADS": "1",
               "PYTHONHASHSEED": "0"}
 PROBE = """
-import json, resource
+import json, resource, time
 from greenwalk import harmonic_measure_estimate, srw_free
+wall_s = {{}}
 for depth in (4, 5):
+    start = time.perf_counter()
     harmonic_measure_estimate(srw_free(2), depth, 100_000, {seed}, workers=2)
+    wall_s[f"d{{depth}}"] = time.perf_counter() - start
 mb = lambda who: resource.getrusage(who).ru_maxrss / 1024
-print(json.dumps({{"self_mb": mb(resource.RUSAGE_SELF),
-                  "children_mb": mb(resource.RUSAGE_CHILDREN)}}))
+children = resource.getrusage(resource.RUSAGE_CHILDREN)
+print(json.dumps({{"rss_mb": {{"self_mb": mb(resource.RUSAGE_SELF),
+                              "children_mb": mb(resource.RUSAGE_CHILDREN)}},
+                  "wall_s": wall_s,
+                  "cpu_s": children.ru_utime + children.ru_stime}}))
 """
 TRACED_ROUNDS = 3
 GC_RUNS = 3
@@ -162,7 +172,8 @@ def main(argv=None) -> int:
     seed = str(args.seed)
     result = {"command": " ".join(["tools/bench_compare.py", *sys.argv[1:]]),
               "environment": {}, "end_to_end": {}, "per_layer": {},
-              "sampler_probe_rss_mb": {}, "gc_probe": {}}
+              "sampler_probe_rss_mb": {}, "sampler_probe_wall_s": {},
+              "sampler_probe_cpu_s": {}, "gc_probe": {}}
     with open(os.path.join(roots["change"], "BENCHMARK.json")) as fh:
         better = {m["name"]: m["better"]
                   for m in json.load(fh)["end_to_end"]}
@@ -208,7 +219,8 @@ def main(argv=None) -> int:
         probe = subprocess.run([sys.executable, "-c", PROBE.format(seed=seed)],
                                cwd=root, env=env, capture_output=True,
                                text=True, check=True)
-        result["sampler_probe_rss_mb"][side] = json.loads(probe.stdout)
+        for name, value in json.loads(probe.stdout).items():
+            result[f"sampler_probe_{name}"][side] = value
         result["gc_probe"][side] = {job: [json.loads(subprocess.run(
             [sys.executable, "-c", GC_PROBE.format(job=job, seed=seed)],
             cwd=root, env=env, capture_output=True, text=True,
