@@ -44,6 +44,18 @@ def test_worker_count_does_not_change_estimate():
 # -- the block kernels against a path-by-path replay ---------------------------
 
 
+@pytest.mark.parametrize("probs", [
+    [0.25] * 4, [0.45, 0.15, 0.4], [0.7, 0.3], [1.0],
+    list(np.arange(1, 41) / 820),  # longer than COUNTED_DRAWS: searched
+])
+def test_draws_equal_generator_choice(probs):
+    probs = np.array(probs)
+    want = block_rng(3, 1).choice(len(probs), size=(64, 50), p=probs)
+    got, = sampler._time_major_steps(block_rng(3, 1), probs,
+                                     [np.arange(len(probs))], 64, 50)
+    assert np.array_equal(got, want.T)
+
+
 @st.composite
 def _step_tables(draw):
     """(probabilities, [F_k letters as int8, the same times 200 as int16]):
