@@ -39,16 +39,12 @@ from .measures import (
 )
 from .sampler import harmonic_measure_estimate
 from .walks import (
-    GENERATION_RADIUS,
-    GENERATION_STEPS,
     drift_z,
     generation_certificate,
     product_walk,
     srw_free,
     wreath_walk,
 )
-
-Z_LIMIT = 3.0
 
 # the standing wreath example: lamp order 2, right drift 0.75, lamp rate 0.4
 WREATH_Q, WREATH_ALPHA, WREATH_GAMMA = 2, 0.75, 0.4
@@ -81,15 +77,13 @@ def _shared(ctx, key: str):
 
 def _check_green(ctx):
     """G(e,e) = 3/2 on F_2 by linear solve and by series, within 1e-5."""
-    w = srw_free(2)
-    ts = build_kernel_table(w, radius=8, method="linear-solve")
-    tr = build_kernel_table(w, radius=8, method="series")
-    e = w.group.identity()
+    ts = _shared(ctx, "t_f2")
+    tr = build_kernel_table(ts.walk, radius=8, method="series")
+    e = ts.walk.group.identity()
     vs, es = ts.green_at(e), ts.entry_error(e)
     vr, er = tr.green_at(e), tr.entry_error(e)
     ok = (abs(vs - 1.5) <= 1e-5 and abs(vr - 1.5) <= 1e-5
           and abs(vs - vr) <= es + er + 1e-15)
-    ctx["t_f2"] = ts
     return ok, {
         "target": 1.5,
         "solve": vs, "solve_err": es,
@@ -118,81 +112,64 @@ def _check_martin(ctx):
                            "tolerance": 1e-4}
 
 
+def _identity_battery(ctx, salt: int, residual, arity: int, counts: tuple,
+                      lattice_ends: range, wreath_ends: range,
+                      depths: tuple) -> dict:
+    """{group: worst residual(t, g_1, ..., g_arity, xi)} over counts[i]
+    draws on F_2, the drifted Z walk and the wreath walk, in that order.
+
+    F_2 draws words of length <= 2 and then a fresh end, a random 8-letter
+    word; the lattice draws steps in [-2, 2] and the wreath walk elements
+    of its radius-2 ball, each against the translation sequence of its
+    `*_ends` read at its witness depth in `depths`.
+    """
+    rng = random.Random(ctx["seed"] * 1000 + salt)
+    word = partial(_random_word, _F2_LETTERS, pick=rng.randrange)
+    tf, td, tw = (_shared(ctx, key)
+                  for key in ("t_f2", "t_drift", "t_wreath"))
+    Gf, Gz, Gw = tf.walk.group, td.walk.group, tw.walk.group
+    ball2 = shared_ball(Gw, 2).elements
+    xi_z = BoundaryApproximant.sequence(
+        Gz, [GroupElement("lattice", (n,)) for n in lattice_ends])
+    xi_w = BoundaryApproximant.sequence(
+        Gw, [GroupElement("wreath", ((), n)) for n in wreath_ends])
+
+    def worst(t, n, draw, end, **depth):
+        top = 0.0
+        for _ in range(n):
+            gs = [draw() for _ in range(arity)]
+            top = max(top, residual(t, *gs, end(), **depth))
+        return top
+
+    return {
+        "free": worst(tf, counts[0],
+                      lambda: GroupElement("free", word(rng.randint(0, 2))),
+                      lambda: BoundaryApproximant.tree_end(Gf, word(8))),
+        "lattice": worst(td, counts[1],
+                         lambda: GroupElement("lattice",
+                                              (rng.randint(-2, 2),)),
+                         lambda: xi_z, at_depth=depths[0]),
+        "wreath": worst(tw, counts[2], lambda: rng.choice(ball2),
+                        lambda: xi_w, at_depth=depths[1]),
+    }
+
+
 def _check_cocycle(ctx):
     """D_{gh} = D_g(h.) + D_h on 500 random triples over three groups."""
-    rng = random.Random(ctx["seed"] * 1000 + 3)
-    word = partial(_random_word, _F2_LETTERS, pick=rng.randrange)
-    worst = {"free": 0.0, "lattice": 0.0, "wreath": 0.0}
-
-    tf = _shared(ctx, "t_f2")
-    Gf = tf.walk.group
-    for _ in range(170):
-        g = GroupElement("free", word(rng.randint(0, 2)))
-        h = GroupElement("free", word(rng.randint(0, 2)))
-        xi = BoundaryApproximant.tree_end(Gf, word(8))
-        worst["free"] = max(worst["free"], cocycle_residual(tf, g, h, xi))
-
-    td = _shared(ctx, "t_drift")
-    Gz = td.walk.group
-    xi_z = BoundaryApproximant.sequence(
-        Gz, [GroupElement("lattice", (n,)) for n in range(1, 11)])
-    for _ in range(165):
-        g = GroupElement("lattice", (rng.randint(-2, 2),))
-        h = GroupElement("lattice", (rng.randint(-2, 2),))
-        worst["lattice"] = max(
-            worst["lattice"], cocycle_residual(td, g, h, xi_z, at_depth=9))
-
-    tw = _shared(ctx, "t_wreath")
-    Gw = tw.walk.group
-    ball2 = shared_ball(Gw, 2).elements
-    xi_w = BoundaryApproximant.sequence(
-        Gw, [GroupElement("wreath", ((), n)) for n in range(1, 7)])
-    for _ in range(165):
-        g = rng.choice(ball2)
-        h = rng.choice(ball2)
-        worst["wreath"] = max(
-            worst["wreath"], cocycle_residual(tw, g, h, xi_w, at_depth=5))
-
-    top = max(worst.values())
-    return top < 1e-6, {"triples": 500, "worst_by_group": worst,
-                        "tolerance": 1e-6}
+    worst = _identity_battery(
+        ctx, 3, cocycle_residual, arity=2, counts=(170, 165, 165),
+        lattice_ends=range(1, 11), wreath_ends=range(1, 7), depths=(9, 5))
+    return max(worst.values()) < 1e-6, {
+        "triples": 500, "worst_by_group": worst, "tolerance": 1e-6}
 
 
 def _check_harmonicity(ctx):
     """sum_s mu(s) K(gs, xi) = K(g, xi) on 200 pairs per group."""
-    rng = random.Random(ctx["seed"] * 1000 + 4)
-    word = partial(_random_word, _F2_LETTERS, pick=rng.randrange)
-    worst = {"free": 0.0, "lattice": 0.0, "wreath": 0.0}
-
-    tf = _shared(ctx, "t_f2")
-    Gf = tf.walk.group
-    for _ in range(200):
-        g = GroupElement("free", word(rng.randint(0, 2)))
-        xi = BoundaryApproximant.tree_end(Gf, word(8))
-        worst["free"] = max(worst["free"], harmonicity_residual(tf, g, xi))
-
-    td = _shared(ctx, "t_drift")
-    Gz = td.walk.group
-    xi_z = BoundaryApproximant.sequence(
-        Gz, [GroupElement("lattice", (n,)) for n in range(5, 15)])
-    for _ in range(200):
-        g = GroupElement("lattice", (rng.randint(-2, 2),))
-        worst["lattice"] = max(
-            worst["lattice"], harmonicity_residual(td, g, xi_z, at_depth=9))
-
-    tw = _shared(ctx, "t_wreath")
-    Gw = tw.walk.group
-    ball2 = shared_ball(Gw, 2).elements
-    xi_w = BoundaryApproximant.sequence(
-        Gw, [GroupElement("wreath", ((), n)) for n in range(4, 8)])
-    for _ in range(200):
-        g = rng.choice(ball2)
-        worst["wreath"] = max(
-            worst["wreath"], harmonicity_residual(tw, g, xi_w, at_depth=3))
-
-    top = max(worst.values())
-    return top < 1e-4, {"pairs_per_group": 200, "worst_by_group": worst,
-                        "tolerance": 1e-4}
+    worst = _identity_battery(
+        ctx, 4, harmonicity_residual, arity=1, counts=(200, 200, 200),
+        lattice_ends=range(5, 15), wreath_ends=range(4, 8), depths=(9, 3))
+    return max(worst.values()) < 1e-4, {
+        "pairs_per_group": 200, "worst_by_group": worst, "tolerance": 1e-4}
 
 
 def _check_harnack(ctx):
@@ -211,7 +188,7 @@ def _check_harmonic_measure(ctx):
                  for c in all_cells(G, 1))
     worst2 = max(abs(m.cell_mass(c) - 1.0 / 12.0) / m.cell_se(c)
                  for c in all_cells(G, 2))
-    ok = worst1 < Z_LIMIT and worst2 < Z_LIMIT and m.nonconverged < 1e-3
+    ok = max(worst1, worst2) < cf.Z_LIMIT and m.nonconverged < 1e-3
     return ok, {
         "samples": ctx["samples"],
         "depth1_masses": {cell_name(G, c): m.cell_mass(c)
@@ -240,7 +217,7 @@ def _check_radon_nikodym(ctx):
     lhs, _ = cf.cell_pullback_mass(m, a, (1,))
     rhs = sum(cf.kernel_on_cell(t, a, c) * m.cell_mass(c)
               for c in all_cells(G, 4) if c[:1] == (1,))
-    ok = worst_z < Z_LIMIT
+    ok = worst_z < cf.Z_LIMIT
     return ok, {
         "checks": len(gens) * len(cells),
         "worst_z": worst_z, "worst_at": worst_at,
@@ -255,7 +232,7 @@ def _check_phi_curve(ctx):
     t = _shared(ctx, "t_f2")
     m = uniform_depth1_measure(GroupModel.free(2))
     anchors = cf.phi_curve(t, m, 1, grid=[0.0, 0.5, 1.0])
-    slack = [max(3.0 * e, 1e-9) for e in anchors.errors]
+    slack = [max(cf.Z_LIMIT * e, 1e-9) for e in anchors.errors]
     target_half = math.sqrt(3.0) / 2.0
     ok_anchors = (abs(anchors.values[0] - 1.0) <= slack[0]
                   and abs(anchors.values[1] - target_half) <= slack[1]
@@ -364,7 +341,7 @@ def _check_kms(ctx):
         r2, e2 = cf.kms_residual(t, m, 2.0, f1, g1, f2, g2)
         ratio = r2 / e2 if e2 > 0 else math.inf
         min_ratio2 = min(min_ratio2, ratio)
-    ok = worst_z1 < Z_LIMIT and min_ratio2 >= 10.0
+    ok = worst_z1 < cf.Z_LIMIT and min_ratio2 >= 10.0
     return ok, {"words": 100, "worst_z_beta1": worst_z1,
                 "min_ratio_beta2": min_ratio2,
                 "nondegeneracy_floor": 0.02}
@@ -381,7 +358,7 @@ def _check_product(ctx):
     left, right = G2.factors
 
     mass_gap = abs(sum(p for _, p in p2.steps) - 1.0)
-    cert = generation_certificate(p2, GENERATION_RADIUS, GENERATION_STEPS)
+    cert = generation_certificate(p2)
 
     marginal = {}
     for s, p in p2.steps:
@@ -407,7 +384,7 @@ def _check_product(ctx):
     push_masses["spine0"] = 0.0
     report = cf.multiplicity_report([
         {"label": "factor-1 pushforward", "masses": push_masses,
-         "conformal": worst_conf_z < Z_LIMIT},
+         "conformal": worst_conf_z < cf.Z_LIMIT},
         {"label": "spine-direction Dirac", "masses": {"spine0": 1.0},
          "conformal": True,
          "detail": f"kernel deviation {dev:.3f} at radius 2 absorbed "
@@ -416,7 +393,7 @@ def _check_product(ctx):
     tv = report["pairs"][0]["tv_lower_bound"]
 
     ok = (mass_gap <= 1e-12 and cert.covered and marg_gap <= 1e-12
-          and worst_conf_z < Z_LIMIT and tv > 0.9)
+          and worst_conf_z < cf.Z_LIMIT and tv > 0.9)
     return ok, {
         "mass_gap": mass_gap,
         "generation_covered": cert.covered,

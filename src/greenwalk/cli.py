@@ -46,12 +46,7 @@ from .measures import (
     uniform_depth1_measure,
 )
 from .sampler import harmonic_measure_estimate
-from .walks import (
-    GENERATION_RADIUS,
-    GENERATION_STEPS,
-    generation_certificate,
-    resolve_walk,
-)
+from .walks import generation_certificate, resolve_walk
 from .groups import parse_element
 
 EXIT_OK = 0
@@ -172,8 +167,9 @@ def _estimate(w, cfg, seed, workers):
     samples = _int_in(cfg, "samples", 1000, 10_000_000, 200_000)
     horizon = cfg.get("horizon")
     if horizon is not None:
-        # a block of 4,096 paths draws 4,096 * horizon doubles at once:
-        # 328 MB at the largest horizon accepted
+        # a block's largest array is its 4,096 paths' time-major steps,
+        # int64 on a lattice: 328 MB at the largest horizon accepted; the
+        # raw draws behind them are read 512 paths at a time
         horizon = _int_in(cfg, "horizon", 1, 10_000, horizon)
     return harmonic_measure_estimate(w, depth, samples, seed,
                                      workers=workers, horizon=horizon)
@@ -326,15 +322,15 @@ def _run_phi(cfg, seed, workers, tol):
             "measure")
     n = _int_in(cfg, "power", 1, 8, 1)
     grid = cfg.get("grid")
-    # a grid point must be a finite float: no NaN, no infinity, no int
-    # past the float range
+    # a grid point is a power of kernel values, so it keeps to kms's beta
+    # range, where K^beta stays a float; NaN and infinity fall outside
     if grid is not None and (
             not isinstance(grid, list) or len(grid) < 2
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                       and abs(x) <= sys.float_info.max for x in grid)
+                       and -10.0 <= x <= 10.0 for x in grid)
             or any(b <= a for a, b in zip(grid, grid[1:]))):
         raise ConfigError("grid must be a strictly increasing list of at "
-                          "least two numbers", "grid")
+                          "least two numbers in [-10, 10]", "grid")
     curve = cf.phi_curve(t, m, n, grid=grid)
     report = {
         "command": "phi",
@@ -383,7 +379,7 @@ def _run_kms(cfg, seed, workers, tol):
         "err": err,
         "z": z,
     }
-    return report, z < 3.0
+    return report, z < cf.Z_LIMIT
 
 
 def _run_product(cfg, seed, workers, tol):
@@ -394,7 +390,7 @@ def _run_product(cfg, seed, workers, tol):
             f"product subcommand needs a product walk, got {G2.spec()}",
             "walk")
     mass_gap = abs(sum(p for _, p in w.steps) - 1.0)
-    cert = generation_certificate(w, GENERATION_RADIUS, GENERATION_STEPS)
+    cert = generation_certificate(w)
     report = {
         "command": "product",
         "walk": w.name or G2.spec(),
@@ -404,7 +400,11 @@ def _run_product(cfg, seed, workers, tol):
     }
     ok = mass_gap <= 1e-12 and cert.covered
     right = G2.factors[1]
-    if cfg.get("pushforward", True) and right.kind == "free":
+    pushforward = cfg.get("pushforward", True)
+    if not isinstance(pushforward, bool):
+        raise ConfigError(f"pushforward must be true or false, got "
+                          f"{pushforward!r}", "pushforward")
+    if pushforward and right.kind == "free":
         t2 = _table(w, cfg, max_radius=12)
         mu1 = resolve_walk(f"srw-free:{right.params[0]}")
         t1 = build_kernel_table(mu1)
@@ -416,7 +416,7 @@ def _run_product(cfg, seed, workers, tol):
             "equivariance_max_residual": ppc["equivariance"]["max_residual"],
             "identity_max_residual": ppc["identity"]["max_residual"],
         }
-        ok = ok and worst_z < 3.0
+        ok = ok and worst_z < cf.Z_LIMIT
     return report, ok
 
 

@@ -108,7 +108,7 @@ def make_walk(group: GroupModel, steps: dict, name: str = "") -> WalkSpec:
         sorted(steps.items(), key=lambda kv: serialize_element(group, kv[0]))
     )
     walk = WalkSpec(group, ordered, name)
-    cert = generation_certificate(walk, GENERATION_RADIUS, GENERATION_STEPS)
+    cert = generation_certificate(walk)
     if not cert.covered:
         missing = ", ".join(
             serialize_element(group, m) for m in cert.missing[:4]
@@ -121,8 +121,9 @@ def make_walk(group: GroupModel, steps: dict, name: str = "") -> WalkSpec:
     return walk
 
 
-def generation_certificate(walk: WalkSpec, radius: int,
-                           max_steps: int) -> GenerationCertificate:
+def generation_certificate(walk: WalkSpec, radius: int = GENERATION_RADIUS,
+                           max_steps: int = GENERATION_STEPS
+                           ) -> GenerationCertificate:
     """Check semigroup generation of a reference ball by the support.
 
     A support that holds every generator reaches each element of the ball

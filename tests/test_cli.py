@@ -252,6 +252,13 @@ def test_suite_small(tmp_path, capsys):
     ("phi", {"grid": [0, 1, float("inf")]}),
     ("phi", {"grid": [float("-inf"), 0, 1]}),
     ("phi", {"grid": [0, 1, 10 ** 400]}),
+    # K^t of a grid point t past kms's beta range overflows a float
+    ("phi", {"grid": [0, 700]}),
+    ("phi", {"grid": [-700, 0]}),
+    ("phi", {"measure": "exact", "grid": [0, 1000]}),
+    # a JSON string, truthy even when it reads "false", is not a bool
+    ("product", {"pushforward": "false", "samples": 1000, "depth": 2,
+                 "radius": 4}),
     ("green", {"walk": {"group": "free:2", "steps": [
         {"elem": "a", "p": "half"}, {"elem": "A", "p": 0.25},
         {"elem": "b", "p": 0.25}]}}),
@@ -273,7 +280,9 @@ def test_suite_small(tmp_path, capsys):
     ("kms", {"walk": "srw-free:30", "f1": "+31", "g1": "+1", "depth": 1,
              "samples": 1000, "radius": 2}),
 ], ids=["martin-end", "phi-grid", "phi-grid-nan", "phi-grid-inf",
-        "phi-grid-neg-inf", "phi-grid-huge-int", "walk-p", "martin-g-int", "martin-end-int",
+        "phi-grid-neg-inf", "phi-grid-huge-int", "phi-grid-overflow",
+        "phi-grid-neg-overflow", "phi-grid-exact-overflow",
+        "product-pushforward-text", "walk-p", "martin-g-int", "martin-end-int",
         "walk-no-p", "walk-name-arg", "walk-json-text", "horizon-too-long",
         "green-seed", "martin-workers", "spine-scan-seed", "harmonic-tolerance",
         "suite-tolerance", "martin-g-letter-range", "kms-f1-letter-range"])

@@ -591,6 +591,11 @@ IMPORT_PROBES = {
         "print(sorted(m for m in sys.modules if m in {'greenwalk.' + n for n "
         "in ('boundary', 'measures', 'sampler', 'conformal', 'acceptance')}))",
         "[]"),
+    # exactly the table core loads, nothing more and nothing less
+    "core-modules": (
+        "print(sorted(m for m in sys.modules if m.startswith('greenwalk.')))",
+        "['greenwalk.errors', 'greenwalk.groups', 'greenwalk.kernels', "
+        "'greenwalk.walks']"),
     # the sparse LU solver is imported where it is used
     "scipy-solvers-unloaded": (
         "print(sorted(m for m in sys.modules "

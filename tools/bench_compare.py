@@ -28,7 +28,8 @@ seconds of the perfbench processes it started (the RUSAGE_CHILDREN delta
 around them), and each workload's `cpu_s` gives the median per side: a
 slower host shows as wall time up with CPU time flat.  `src_lines`
 repeats each side's line count of src/greenwalk/*.py from its perfbench
-environment.
+environment, and `src_lines_by_module` splits it by module file, counted
+the same way (newlines per file), so a change shows where its lines went.
 
 Per end-to-end metric, `gain_met` says whether the change is better in
 at least 9 of 10 pairs and its median beats the parent's by more than the
@@ -39,6 +40,7 @@ BENCHMARK.json.
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import math
 import os
@@ -134,6 +136,17 @@ def perfbench(root: str, *args: str) -> dict:
     return out
 
 
+def src_lines_by_module(root: str) -> dict:
+    """{file name: newline count} for each src/greenwalk/*.py of a
+    checkout."""
+    out = {}
+    for path in sorted(glob.glob(os.path.join(root, "src", "greenwalk",
+                                              "*.py"))):
+        with open(path, "rb") as fh:
+            out[os.path.basename(path)] = fh.read().count(b"\n")
+    return out
+
+
 def quartiles(values: list) -> dict:
     q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": med, "q1": q1, "q3": q3}
@@ -200,6 +213,8 @@ def main(argv=None) -> int:
                       for side in roots}}
     result["src_lines"] = {side: env["src_lines"]
                            for side, env in result["environment"].items()}
+    result["src_lines_by_module"] = {side: src_lines_by_module(root)
+                                     for side, root in roots.items()}
     env = dict(os.environ, **THREAD_ENV)
     rounds = {"parent": [], "change": []}
     for i in range(TRACED_ROUNDS):
