@@ -79,7 +79,6 @@ _PUBLIC = {
         "phi_curve",
         "phi_map_pushforward_check",
         "rn_identity_check",
-        "stationarity_residual",
     ),
     "acceptance": ("run_all", "summary_lines"),
 }

@@ -31,7 +31,6 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 
 import numpy as np
 
@@ -57,7 +56,6 @@ from .measures import (
     leaf_vector,
     translate_cell,
 )
-from .walks import WalkSpec
 
 Z_LIMIT = 3.0
 BETA_GRID = (-1.0, 0.0, 0.5, 1.0, 2.0)
@@ -152,12 +150,6 @@ class CellFunction:
         d = max(self.depth, other.depth)
         return CellFunction._from_leaves(self.G, d,
                                          self.values(d) * other.values(d))
-
-    def integrate(self, m: MeasureModel):
-        """(integral, standard error) against a cylinder measure."""
-        if m.kind != "cylinder":
-            raise UnsupportedGroupError("cell integrals need a cylinder measure")
-        return _linear_form(self.values(m.depth), m.leaf_mass, m.leaf_se, 0)
 
 
 def kernel_leaves(t: KernelTable, g: GroupElement, depth: int,
@@ -278,18 +270,6 @@ def rn_identity_check(t: KernelTable, nu: MeasureModel, g: GroupElement, B):
     return res, z_score(res, err)
 
 
-def stationarity_residual(w: WalkSpec, m: MeasureModel, B):
-    """|sum_s mu(s) m(s^{-1}B) - m(B)| with its standard error."""
-    base, base_se = cell_pullback_mass(m, w.group.identity(), B)
-    total = 0.0
-    var = base_se**2
-    for s, p in w.steps:
-        val, se = cell_pullback_mass(m, s, B)
-        total += p * val
-        var += (p * se) ** 2
-    return abs(total - base), math.sqrt(var)
-
-
 def _power_err(k: float, kerr: float, beta: float) -> float:
     lo = max(k - kerr, 1e-300) ** beta
     hi = (k + kerr) ** beta
@@ -334,29 +314,25 @@ def _kernel_contrast(t: KernelTable, m: MeasureModel, beta: float,
     error, for leaf vectors lhs and rhs on m's leaves: one linear contrast
     of the leaf masses."""
     coeff = lhs - rhs * kernel_leaves(t, g, m.depth, beta)
-    value, err = _linear_form(coeff, m.leaf_mass, m.leaf_se, m.n_eff)
+    value, err = _linear_form(coeff, m.leaf_mass, m.n_eff)
     return abs(value), err
 
 
-def _linear_form(coeff: np.ndarray, masses: np.ndarray, ses: np.ndarray,
-                 n_eff: int):
+def _linear_form(coeff: np.ndarray, masses: np.ndarray, n_eff: int):
     """(sum c_i * mass_i, standard error) over leaf masses; terms with
     c_i = 0 are skipped and the rest are added in leaf order.
 
     Estimated masses from a common sample are one multinomial draw, so
-    Var = (sum c^2 p - (sum c p)^2) / n with plug-in masses; with
-    n_eff = 0 the per-leaf error bars add in quadrature.  The squares
-    there are Python's `pow(x, 2)` (libm pow), which rounds differently
-    from x * x for about one value in a thousand.
+    Var = (sum c^2 p - (sum c p)^2) / n with plug-in masses; an exact
+    measure (n_eff = 0) has error 0.0.
     """
     keep = coeff != 0.0
     c, x = coeff[keep], masses[keep]
     value = leaf_sum(c * x)
-    if n_eff > 0:
-        var = max(leaf_sum(c * c * x) - value * value, 0.0) / n_eff
-    else:
-        var = sum(map(pow, (c * ses[keep]).tolist(), repeat(2)))
-    return value, math.sqrt(var)
+    if not n_eff:
+        return value, 0.0
+    return value, math.sqrt(max(leaf_sum(c * c * x) - value * value, 0.0)
+                            / n_eff)
 
 
 def _dirac_residual(t: KernelTable, m: MeasureModel, beta: float,
@@ -384,7 +360,7 @@ def normalization_check(t: KernelTable, m: MeasureModel, beta: float,
     depth = max(m.depth, len(ginv.data))
     coeff = kernel_leaves(t, ginv, depth, beta)
     m._check_depth(depth)
-    return _linear_form(coeff, m.leaf_mass, m.leaf_se, 0)
+    return _linear_form(coeff, m.leaf_mass, m.n_eff)
 
 
 # -- Phi curve -------------------------------------------------------------------
@@ -438,13 +414,13 @@ def phi_curve(t: KernelTable, m: MeasureModel, n: int = 1,
     # a cylinder measure shallower than the n-step reach refuses here
     depth = max(m.depth, reach)
     m._check_depth(depth)
-    masses, ses = m.leaf_mass, m.leaf_se
+    masses = m.leaf_mass
     values, errors = [], []
     for tv in grid:
         coeff = np.zeros(len(masses))
         for h, p in dist.items():
             coeff = coeff + p * kernel_leaves(t, h, depth, tv)
-        val, err = _linear_form(coeff, masses, ses, m.n_eff)
+        val, err = _linear_form(coeff, masses, m.n_eff)
         values.append(val)
         errors.append(err)
     return PhiCurve(t.walk, m, n, grid, tuple(values), tuple(errors))

@@ -172,46 +172,39 @@ class MeasureModel:
     group: GroupModel
     depth: int = 0
     masses: dict = field(default_factory=dict)
-    se: dict = field(default_factory=dict)
     nonconverged: float = 0.0
     xi: object = None
     atom: object = None
     note: str = ""
-    # converged sample count; lets aggregated cells use the exact binomial
-    # standard error instead of a root-sum over children
+    # converged sample count behind estimated masses, the one source of
+    # every standard error; 0 for an exact measure, whose errors are 0.0
     n_eff: int = 0
 
     def __post_init__(self):
         if self.kind != "cylinder":
             return
-        # leaf arrays in all_cells order, where every cylinder of depth
-        # <= D is a contiguous range; the masses and se dicts stay public
-        leaves = all_cells(self.group, self.depth)
+        # leaf masses in all_cells order, where every cylinder of depth
+        # <= D is a contiguous range; the masses dict stays public
         self._ranges = leaf_ranges(self.group, self.depth)
-        self.leaf_mass = np.array([self.masses[w] for w in leaves])
-        self._leaf_var = np.array([self.se[w] ** 2 for w in leaves])
-        self.leaf_se = np.array([self.cell_se(w) for w in leaves])
+        self.leaf_mass = np.array([self.masses[w] for w in
+                                   all_cells(self.group, self.depth)])
 
     # -- constructors ---------------------------------------------------------
 
     @staticmethod
-    def cylinder(G: GroupModel, depth: int, masses: dict, se: dict | None = None,
+    def cylinder(G: GroupModel, depth: int, masses: dict,
                  nonconverged: float = 0.0, note: str = "",
                  n_eff: int = 0) -> "MeasureModel":
-        cells = all_cells(G, depth)
-        filled = {w: float(masses.get(w, 0.0)) for w in cells}
+        filled = {w: float(masses.get(w, 0.0)) for w in all_cells(G, depth)}
         _check_masses(filled, "cylinder", "cell")
-        se = {w: float((se or {}).get(w, 0.0)) for w in cells}
-        return MeasureModel("cylinder", G, depth=depth, masses=filled, se=se,
+        return MeasureModel("cylinder", G, depth=depth, masses=filled,
                             nonconverged=nonconverged, note=note, n_eff=n_eff)
 
     @staticmethod
-    def binned(G: GroupModel, masses: dict, se: dict | None = None,
-               nonconverged: float = 0.0, note: str = "",
-               n_eff: int = 0) -> "MeasureModel":
+    def binned(G: GroupModel, masses: dict, nonconverged: float = 0.0,
+               note: str = "", n_eff: int = 0) -> "MeasureModel":
         _check_masses(masses, "bin", "bin")
-        se = {k: float((se or {}).get(k, 0.0)) for k in masses}
-        return MeasureModel("binned", G, masses=dict(masses), se=se,
+        return MeasureModel("binned", G, masses=dict(masses),
                             nonconverged=nonconverged, note=note, n_eff=n_eff)
 
     @staticmethod
@@ -233,15 +226,8 @@ class MeasureModel:
         return leaf_sum(self.leaf_mass[lo:hi])
 
     def cell_se(self, cell) -> float:
-        if self.kind == "dirac":
-            return 0.0
-        if self.kind == "binned":
-            return self.se.get(cell, 0.0)
-        if self.n_eff > 0:
-            m = self.cell_mass(cell)
-            return math.sqrt(max(m * (1.0 - m), 0.0) / self.n_eff)
-        lo, hi = self._leaf_span(cell)
-        return math.sqrt(leaf_sum(self._leaf_var[lo:hi]))
+        """Standard error of cell_mass(cell) (`_binomial_se`)."""
+        return _binomial_se(self.cell_mass(cell), self.n_eff)
 
     def _leaf_span(self, cell) -> tuple:
         """C(cell) as a leaf range; words outside the tree are empty."""
@@ -263,10 +249,8 @@ class MeasureModel:
         return sum(self.cell_mass(c) for c in cells)
 
     def set_se(self, cells) -> float:
-        if self.kind == "cylinder" and self.n_eff > 0:
-            p = self.set_mass(cells)
-            return math.sqrt(max(p * (1.0 - p), 0.0) / self.n_eff)
-        return math.sqrt(sum(self.cell_se(c) ** 2 for c in cells))
+        """Standard error of set_mass(cells) (`_binomial_se`)."""
+        return _binomial_se(self.set_mass(cells), self.n_eff)
 
     def cells(self) -> list:
         if self.kind == "dirac":
@@ -288,7 +272,7 @@ class MeasureModel:
         for c in self.cells():
             name = cell_name(self.group, c) if self.kind == "cylinder" else str(c)
             cells.append({"cyl": name, "mass": self.masses[c],
-                          "se": self.se.get(c, 0.0)})
+                          "se": self.cell_se(c)})
         return {
             "kind": self.kind,
             "group": self.group.spec(),
@@ -297,6 +281,13 @@ class MeasureModel:
             "nonconverged": self.nonconverged,
             "note": self.note,
         }
+
+
+def _binomial_se(p: float, n_eff: int) -> float:
+    """sqrt(p (1 - p) / n_eff): the error of a mass p estimated as the
+    share of n_eff independent draws, and 0.0 for an exact measure
+    (n_eff = 0).  Every cell and set of a measure takes its error here."""
+    return math.sqrt(max(p * (1.0 - p), 0.0) / n_eff) if n_eff else 0.0
 
 
 def _check_masses(masses: dict, total_name: str, unit: str) -> None:

@@ -26,7 +26,6 @@ window that the boundary bins can see.
 
 from __future__ import annotations
 
-import math
 import multiprocessing as mp
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -354,8 +353,8 @@ def harmonic_measure_estimate(w: WalkSpec, depth: int, n_samples: int,
 
     Free groups return a depth-D cylinder measure, lattices (d=1) the
     two-end bins, wreath groups window bins (drift sign, lamp pattern on
-    [-5, 5], the window bins are stored and reported on); per-cell
-    standard errors are binomial in the converged count.  A
+    [-5, 5], the window bins are stored and reported on); standard
+    errors follow from the converged count, kept as `n_eff`.  A
     non-convergence rate above 1% aborts with the rate in the report.
     """
     if n_samples < 1000:
@@ -403,14 +402,12 @@ def harmonic_measure_estimate(w: WalkSpec, depth: int, n_samples: int,
     if n_conv <= 0:
         raise SamplingError("no converged paths", report={"rate": rate})
     masses = {cell: c / n_conv for cell, c in counts.items()}
-    se = {cell: math.sqrt(m * (1.0 - m) / n_conv)
-          for cell, m in masses.items()}
     if G.kind == "free":
-        return MeasureModel.cylinder(G, depth, masses, se, nonconverged=rate,
+        return MeasureModel.cylinder(G, depth, masses, nonconverged=rate,
                                      note=f"harmonic estimate, n={n_samples}",
                                      n_eff=n_conv)
     note = (f"harmonic estimate, n={n_samples}, window "
             f"[-{WREATH_WINDOW_STORE},{WREATH_WINDOW_STORE}]"
             if G.kind == "wreath" else f"harmonic estimate, n={n_samples}")
-    return MeasureModel.binned(G, masses, se, nonconverged=rate, note=note,
+    return MeasureModel.binned(G, masses, nonconverged=rate, note=note,
                                n_eff=n_conv)

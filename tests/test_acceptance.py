@@ -9,7 +9,11 @@ pinned by their sha256, so a change that moves any of them fails here.
 """
 
 import hashlib
+import importlib.util
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -124,3 +128,28 @@ def test_battery_is_green(battery):
 def test_report_bytes_pinned(battery):
     text = _format_report(battery, "json")
     assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256
+
+
+def test_seed_sweep_smoke():
+    """tools/seed_sweep.py on one seed at 2,000 samples: one row per
+    check, and the same table in-process as from the command line."""
+    script = Path(__file__).resolve().parent.parent / "tools" / "seed_sweep.py"
+    out = subprocess.run([sys.executable, str(script), "--seeds", "1",
+                          "--samples", "2000"], capture_output=True,
+                         text=True, check=True).stdout
+    table = json.loads(out)
+    assert table["seeds"] == [1] and table["samples"] == 2000
+    rows = table["checks"]
+    assert sorted(map(int, rows)) == list(range(1, 14))
+    failing = set()
+    for number, row in rows.items():
+        assert row["passed"] + len(row["failing_seeds"]) == 1, number
+        failing.update(row["failing_seeds"])
+    assert table["failing_seeds"] == sorted(failing)
+    spec = importlib.util.spec_from_file_location("seed_sweep", script)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    for number, names in tool.Z_FIELDS.items():
+        assert set(rows[str(number)]["worst_z"]) == set(names)
+    again = tool.sweep(run_all, range(1, 2), 2000)
+    assert json.dumps(again, indent=1, sort_keys=True) + "\n" == out

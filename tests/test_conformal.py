@@ -11,13 +11,13 @@ from greenwalk.conformal import (
     classify,
     conformality_residual,
     invariant_measure_feasibility,
+    kernel_leaves,
     kernel_on_cell,
     kms_residual,
     multiplicity_report,
     normalization_check,
     phi_curve,
     phi_map_pushforward_check,
-    stationarity_residual,
 )
 from greenwalk.errors import PartitionError, UnsupportedGroupError
 from greenwalk.groups import GroupElement, GroupModel, parse_element
@@ -87,9 +87,9 @@ def test_residual_needs_depth(t_f2):
     with pytest.raises(PartitionError) as exc:
         conformality_residual(t_f2, shallow, 1.0, _el("a"), (2,))
     assert exc.value.suggested_depth >= 2
-    # a depth-3 indicator cannot be integrated on depth-1 leaves
+    # a depth-3 indicator has no values on depth-1 leaves
     with pytest.raises(PartitionError) as exc:
-        CellFunction.indicator(F2, (1, 2, 1)).integrate(shallow)
+        CellFunction.indicator(F2, (1, 2, 1)).values(shallow.depth)
     assert exc.value.suggested_depth == 3
 
 
@@ -136,8 +136,6 @@ def test_binned_wreath_has_no_pullback_rule(t_wreath):
     for beta in (0.0, 1.0):
         with pytest.raises(UnsupportedGroupError, match="no pullback rule"):
             conformality_residual(t_wreath, m, beta, g, B)
-    with pytest.raises(UnsupportedGroupError, match="no pullback rule"):
-        stationarity_residual(w, m, B)
 
 
 def test_normalization_check(t_f2, m_exact):
@@ -148,6 +146,22 @@ def test_normalization_check(t_f2, m_exact):
     # at beta = 1/2 the integral drops to sqrt(3)/2 < 1
     val, _ = normalization_check(t_f2, m_exact, 0.5, _el("a"))
     assert val == pytest.approx(math.sqrt(3) / 2, abs=1e-12)
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0])
+@pytest.mark.parametrize("g", ["a", "bA"])
+def test_normalization_error_is_the_multinomial_contrast(t_f2, m_f2, g, beta):
+    # the integral is one linear form of the sampled masses, so its error
+    # is that of the contrast: sqrt((sum c^2 p - (sum c p)^2) / n_eff)
+    ginv = F2.inv(_el(g))
+    c = kernel_leaves(t_f2, ginv, m_f2.depth, beta).tolist()
+    p = [m_f2.masses[w] for w in all_cells(F2, m_f2.depth)]
+    first = sum(ci * pi for ci, pi in zip(c, p))
+    second = sum(ci * ci * pi for ci, pi in zip(c, p))
+    want = math.sqrt((second - first * first) / m_f2.n_eff)
+    val, err = normalization_check(t_f2, m_f2, beta, _el(g))
+    assert val == pytest.approx(first, rel=1e-12)
+    assert err == pytest.approx(want, rel=1e-12)
 
 
 # -- Phi curve -------------------------------------------------------------------
@@ -376,8 +390,6 @@ def test_cell_algebra_needs_cylinder_measure(t_f2):
     atom = MeasureModel.dirac(F2, None, "spine")
     with pytest.raises(UnsupportedGroupError):
         kms_residual(t_f2, atom, 1.0, one, _el("b"), one, _el("B"))
-    with pytest.raises(UnsupportedGroupError):
-        one.integrate(atom)
 
 
 # -- product boundary ---------------------------------------------------------------

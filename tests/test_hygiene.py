@@ -1,5 +1,6 @@
 """Source hygiene: no dead top-level imports, private names or defaulted
-parameters, a public API that resolves, and no unbounded cache.
+parameters, a public API that resolves and that the package itself reads,
+and no unbounded cache.
 
 The checks read the package with the stdlib `ast` module, except the cache
 check, which asks each imported module-level cache for its maxsize.  An
@@ -113,6 +114,16 @@ def test_no_unread_defaulted_parameters():
 def test_public_names_resolve():
     missing = [n for n in greenwalk.__all__ if not hasattr(greenwalk, n)]
     assert not missing, missing
+
+
+def test_no_test_only_public_names():
+    """Every public name serves the package: some module other than
+    `__init__.py` reads it."""
+    modules = _modules()
+    read = set().union(*(_read_names(tree) for name, tree in modules.items()
+                         if name != "__init__.py"))
+    unread = [n for n in greenwalk.__all__ if n not in read]
+    assert not unread, unread
 
 
 def test_every_cache_is_bounded():

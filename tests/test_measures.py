@@ -117,6 +117,27 @@ def test_binomial_se_from_n_eff():
     assert m.cell_se((1,)) == pytest.approx(math.sqrt(0.25 * 0.75 / 10_000))
 
 
+def test_binned_and_cylinder_errors_share_one_rule():
+    # the same masses and n_eff give the same binomial error on every
+    # boundary model
+    Z = GroupModel.lattice(1)
+    binned = MeasureModel.binned(Z, {"+inf": 0.5, "-inf": 0.5}, n_eff=1000)
+    cells = all_cells(F2, 1)
+    cylinder = MeasureModel.cylinder(
+        F2, 1, {cells[0]: 0.5, cells[1]: 0.5}, n_eff=1000)
+    want = math.sqrt(0.5 * 0.5 / 1000)
+    assert binned.cell_se("+inf") == cylinder.cell_se(cells[0]) == want
+    assert binned.set_se(["+inf"]) == cylinder.set_se([cells[0]]) == want
+
+
+def test_error_of_unknown_bin_refused():
+    # cell_se answers only for the cells cell_mass knows
+    m = MeasureModel.binned(GroupModel.lattice(1), {"+inf": 0.5, "-inf": 0.5},
+                            n_eff=1000)
+    with pytest.raises(PartitionError):
+        m.cell_se("nope")
+
+
 def test_dirac_labelled_atom():
     Z = GroupModel.lattice(1)
     m = MeasureModel.dirac(Z, None, "+inf")

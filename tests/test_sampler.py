@@ -1,4 +1,5 @@
 import json
+import math
 import os
 from collections import Counter
 from types import SimpleNamespace
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from greenwalk import sampler
 from greenwalk.cli import main
-from greenwalk.conformal import rn_identity_check, stationarity_residual
+from greenwalk.conformal import cell_pullback_mass, rn_identity_check
 from greenwalk.errors import SamplingError, UnsupportedGroupError
 from greenwalk.groups import GroupElement, GroupModel, parse_element
 from greenwalk.rng import block_rng
@@ -318,13 +319,25 @@ def test_sample_size_floor():
         harmonic_measure_estimate(srw_free(2), depth=1, n_samples=10, seed=1)
 
 
+def _stationarity(w, m, B):
+    """|sum_s mu(s) m(s^{-1}B) - m(B)|, and the pullback masses' errors
+    added in quadrature."""
+    base, base_se = cell_pullback_mass(m, w.group.identity(), B)
+    total, var = 0.0, base_se**2
+    for s, p in w.steps:
+        val, se = cell_pullback_mass(m, s, B)
+        total += p * val
+        var += (p * se) ** 2
+    return abs(total - base), math.sqrt(var)
+
+
 def test_stationarity_of_exit_law(m_f2):
-    res, se = stationarity_residual(srw_free(2), m_f2, (1,))
+    res, se = _stationarity(srw_free(2), m_f2, (1,))
     assert res < 4 * se + 1e-12
 
 
 def test_stationarity_exact_law(m_exact):
-    res, se = stationarity_residual(srw_free(2), m_exact, (1, 2))
+    res, se = _stationarity(srw_free(2), m_exact, (1, 2))
     assert res < 1e-12 and se == 0.0
 
 
